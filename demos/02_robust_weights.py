@@ -15,14 +15,14 @@ from panelspec.mcstudy import (
     DgpConfig,
     RANDOM_VERTICAL,
     contaminate_random,
-    generate_null,
+    generate,
     substream,
 )
 
 # Clean panel, then 15 of its 300 responses replaced by U(10, 35) draws.
 dgp = DgpConfig(n_units=100, n_periods=3, beta=(1.0, -1.5), seed=7)
 rng = substream(dgp.seed, 0)
-clean = generate_null(dgp, rng)
+clean = generate(dgp, rng)
 scheme = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
 dirty = contaminate_random(clean, scheme, rng)
 planted = dirty.y != clean.y

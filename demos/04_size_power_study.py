@@ -8,13 +8,13 @@ contamination on both tests. Replication counts are kept small so the
 demo runs in seconds; the command line exposes the full-size presets.
 """
 
-from panelspec.inference import HAUSMAN, WEIGHTED_HAUSMAN
 from panelspec.mcstudy import (
     ALTERNATIVE,
     ContaminationConfig,
     DgpConfig,
     RANDOM_VERTICAL,
     run_study,
+    study_rows,
     study_to_csv,
 )
 
@@ -23,12 +23,9 @@ GAMMAS = (0.05, 0.10)
 
 def show(label, study):
     print(f"{label} (S={study.s_replications}, failures={study.failures})")
-    for kind in (HAUSMAN, WEIGHTED_HAUSMAN):
-        rates = ", ".join(
-            f"{g:.2f}: {r:.3f}"
-            for g, r in zip(study.gamma_grid, study.rejection_rates[kind])
-        )
-        print(f"  {kind:>17} rejects at {rates}")
+    # study_rows gives the (test, level, rate) cells every CSV writer uses.
+    for kind, gamma, rate in study_rows(study):
+        print(f"  {kind:>17} at level {gamma}: rejects {float(rate):.3f}")
 
 
 # Size: rejection under the null should sit near the nominal levels.

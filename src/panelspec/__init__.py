@@ -20,7 +20,7 @@ from .estimators import (
     fit_pooled_ols,
     fit_random_effects,
 )
-from .exceptions import PanelSpecError
+from .exceptions import ConfigurationError, PanelSpecError
 from .inference import (
     HAUSMAN,
     WEIGHTED_HAUSMAN,
@@ -41,8 +41,7 @@ from .mcstudy import (
     StudyResult,
     contaminate_concentrated,
     contaminate_random,
-    generate_alternative,
-    generate_null,
+    generate,
     run_study,
     study_to_csv,
     study_to_json,
@@ -74,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "PanelSpecError",
+    "ConfigurationError",
     "ColumnSchema",
     "PanelDataset",
     "load_long_csv",
@@ -121,8 +121,7 @@ __all__ = [
     "DgpConfig",
     "ContaminationConfig",
     "StudyResult",
-    "generate_null",
-    "generate_alternative",
+    "generate",
     "contaminate_random",
     "contaminate_concentrated",
     "run_study",

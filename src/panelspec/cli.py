@@ -4,8 +4,9 @@ Three subcommands: ``fit`` estimates one model on a long-format CSV,
 ``test`` runs the specification tests, and ``simulate`` launches a
 Monte Carlo study. JSON on standard output is the primary interface;
 ``--format csv`` emits a flat projection for spreadsheet or plotting
-pipelines. Exit codes: 0 success, 1 data or estimation error (message
-on standard error), 2 usage error.
+pipelines. Exit codes: 0 success, 1 data, configuration or estimation
+error (one line on standard error), 2 usage error. Any other exception
+is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .mcstudy import (
     ContaminationConfig,
     DgpConfig,
     run_study,
+    study_document,
+    study_rows,
 )
 from .wle import HELLINGER, IDENTITY, WleConfig, fit_weighted_fixed_effects
 
@@ -121,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fixed effects",
     )
     _add_wle_flags(p_fit)
-    p_fit.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted for interface stability; current methods are "
-        "deterministic and ignore it",
-    )
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -141,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the estimated quasi-demeaning fraction "
         "(testing hook)",
     )
-    p_test.add_argument("--seed", type=int, default=0,
-                        help="accepted for interface stability; unused")
     p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
 
@@ -433,17 +429,7 @@ def _simulate_json(args: argparse.Namespace, docs) -> str:
                 "high": high,
                 "seed": args.seed,
                 "kappa": args.kappa,
-                "gamma_grid": list(study.gamma_grid),
-                "s_replications": study.s_replications,
-                "failures": study.failures,
-                "df": study.df,
-                "tests": {
-                    kind: {
-                        "rejection_rates": list(study.rejection_rates[kind]),
-                        "statistics": [float(v) for v in study.statistics[kind]],
-                    }
-                    for kind in sorted(study.statistics)
-                },
+                **study_document(study),
             }
         )
     return json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n"
@@ -457,16 +443,12 @@ def _simulate_csv(docs) -> str:
          "gamma", "rejection_rate", "s", "failures"]
     )
     for run, contamination, study in docs:
-        for kind in sorted(study.rejection_rates):
-            for gamma, rate in zip(
-                study.gamma_grid, study.rejection_rates[kind]
-            ):
-                writer.writerow(
-                    [kind, run["hypothesis"], run["n"], run["t"],
-                     contamination.scheme, contamination.n_outliers,
-                     repr(float(gamma)), repr(float(rate)),
-                     study.s_replications, study.failures]
-                )
+        for kind, gamma, rate in study_rows(study):
+            writer.writerow(
+                [kind, run["hypothesis"], run["n"], run["t"],
+                 contamination.scheme, contamination.n_outliers,
+                 gamma, rate, study.s_replications, study.failures]
+            )
     return buf.getvalue()
 
 
@@ -475,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelSpecError, OSError, ValueError) as exc:
+    except (PanelSpecError, OSError) as exc:
         print(f"panelspec: error: {exc}", file=sys.stderr)
         return 1
 

@@ -185,7 +185,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     Raises
     ------
     SchemaError
-        A schema column is missing from the header.
+        The file is not UTF-8 text, or a schema column is missing from
+        the header.
     NonNumericValueError
         A response or regressor cell does not parse as a number.
     DuplicateCellError
@@ -195,6 +196,13 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     TooFewUnitsOrPeriodsError
         The resulting panel violates the minimum-size bounds.
     """
+    try:
+        return _load_long_csv(path, schema)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -281,12 +289,13 @@ def _natural_key(label: str):
         return (1, 0.0, label)
 
 
-def to_stacked(dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Return unit-major stacked views ``(y, x)``.
+def to_stacked(dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Return unit-major stacked views ``(y, x)`` of shapes (NT,), (NT, K).
 
     Row ``i * T + t`` of the output corresponds to unit ``i``, period
-    ``t`` of the panel. The arrays are read-only views of the dataset's
-    storage.
+    ``t`` of the panel. ``dataset`` is a :class:`PanelDataset` or a
+    transformed panel (anything with ``y`` of shape (N, T) and ``x`` of
+    shape (N, T, K)); the arrays are views of its storage.
     """
     n, t, k = dataset.x.shape
     return dataset.y.reshape(n * t), dataset.x.reshape(n * t, k)

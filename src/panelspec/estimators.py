@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import lstsq_qr
-from .data import PanelDataset
+from .data import PanelDataset, to_stacked
 from .exceptions import (
     InsufficientDegreesOfFreedomError,
     ZeroTotalVariationError,
@@ -125,6 +125,20 @@ def _total_variation(y: np.ndarray) -> float:
     return tss
 
 
+def _within_solve(
+    dataset: PanelDataset,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unweighted within regression: demean, stack and solve.
+
+    Shared by the within fit, the variance components and the start of
+    the weighted fit. Returns the stacked demeaned ``(y, x)``, the
+    slopes, ``(x'x)^-1`` and the residuals ``y - x @ beta``.
+    """
+    y, x = to_stacked(within_transform(dataset))
+    beta, gram_inv = lstsq_qr(x, y)
+    return y, x, beta, gram_inv, y - x @ beta
+
+
 def fit_pooled_ols(dataset: PanelDataset) -> EstimateResult:
     """OLS on the stacked panel, ignoring unit effects.
 
@@ -140,8 +154,7 @@ def fit_pooled_ols(dataset: PanelDataset) -> EstimateResult:
         The response has no variation.
     """
     n, t, k = dataset.x.shape
-    y = dataset.y.reshape(n * t)
-    x = dataset.x.reshape(n * t, k)
+    y, x = to_stacked(dataset)
     beta, gram_inv = lstsq_qr(x, y)
     resid = y - x @ beta
     rss = float(resid @ resid)
@@ -175,9 +188,7 @@ def fit_fixed_effects(dataset: PanelDataset) -> EstimateResult:
         The demeaned response has no variation.
     """
     n, t, k = dataset.x.shape
-    y, x = within_transform(dataset).stacked()
-    beta, gram_inv = lstsq_qr(x, y)
-    resid = y - x @ beta
+    y, _, beta, gram_inv, resid = _within_solve(dataset)
     rss = float(resid @ resid)
     sigma2_eps = rss / (n * (t - 1) - k)
     tss = _total_variation(y)
@@ -217,9 +228,7 @@ def estimate_variance_components(dataset: PanelDataset) -> VarianceComponents:
             f"variance components need N(T-1) > K and N > K+1; "
             f"got N={n}, T={t}, K={k}"
         )
-    y_w, x_w = within_transform(dataset).stacked()
-    beta_w, _ = lstsq_qr(x_w, y_w)
-    resid_w = y_w - x_w @ beta_w
+    resid_w = _within_solve(dataset)[4]
     sigma2_eps = float(resid_w @ resid_w) / (n * (t - 1) - k)
 
     y_b = dataset.y.mean(axis=1)
@@ -270,7 +279,7 @@ def fit_random_effects(
     n, t, k = dataset.x.shape
     vc = estimate_variance_components(dataset)
     used_theta = vc.theta if theta is None else float(theta)
-    y, x = quasi_demean(dataset, used_theta).stacked()
+    y, x = to_stacked(quasi_demean(dataset, used_theta))
     beta, gram_inv = lstsq_qr(x, y)
     resid = y - x @ beta
     rss = float(resid @ resid)

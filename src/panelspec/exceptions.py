@@ -12,10 +12,14 @@ class PanelSpecError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigurationError(PanelSpecError, ValueError):
+    """A configuration value or argument is outside its allowed set."""
+
+
 # --- data loading and dataset construction -------------------------------
 
 class SchemaError(PanelSpecError):
-    """A column schema is malformed or does not match the file header."""
+    """A file or column schema is malformed, or they do not match."""
 
 
 class MissingCellError(PanelSpecError):

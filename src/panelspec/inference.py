@@ -24,6 +24,7 @@ from .estimators import (
     EstimateResult,
 )
 from .exceptions import (
+    ConfigurationError,
     DimensionMismatchError,
     MethodMismatchError,
     NegativeArgumentError,
@@ -90,7 +91,7 @@ def chi_square_sf(x: float, df: int) -> float:
     ------
     NegativeArgumentError
         ``x < 0`` or not finite.
-    ValueError
+    ConfigurationError
         ``df`` is not a positive integer.
     """
     x = float(x)
@@ -99,7 +100,7 @@ def chi_square_sf(x: float, df: int) -> float:
             f"statistic must be finite and nonnegative, got {x}"
         )
     if int(df) != df or df < 1:
-        raise ValueError(f"df must be a positive integer, got {df}")
+        raise ConfigurationError(f"df must be a positive integer, got {df}")
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo size and power studies for the specification tests.
 
-Provides the two data-generating processes (exogenous and correlated
-unit effects), the two vertical-outlier contamination schemes, and a
-driver that runs both specification tests over many replications and
-tabulates rejection rates on a grid of nominal levels.
+Provides the data-generating process under both hypotheses (exogenous
+and correlated unit effects), the two vertical-outlier contamination
+schemes, ``run_study``, which runs both specification tests over many
+replications and tabulates rejection rates on a grid of nominal levels,
+and the renderings of a study that the library and the command line
+share.
 
 Reproducibility contract: every replication draws from its own
 substream derived from ``(master seed, replication index)``, normal
@@ -31,7 +33,11 @@ from .estimators import (
     fit_fixed_effects,
     fit_random_effects,
 )
-from .exceptions import PanelSpecError, TooManyOutliersError
+from .exceptions import (
+    ConfigurationError,
+    PanelSpecError,
+    TooManyOutliersError,
+)
 from .inference import (
     HAUSMAN,
     WEIGHTED_HAUSMAN,
@@ -52,13 +58,13 @@ __all__ = [
     "StudyResult",
     "standard_normal",
     "substream",
-    "generate_null",
-    "generate_alternative",
     "generate",
     "contaminate_random",
     "contaminate_concentrated",
     "apply_contamination",
     "run_study",
+    "study_document",
+    "study_rows",
     "study_to_json",
     "study_to_csv",
 ]
@@ -113,20 +119,22 @@ class DgpConfig:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
         if self.n_units < 2 or self.n_periods < 2:
-            raise ValueError(
+            raise ConfigurationError(
                 f"need N >= 2 and T >= 2, got N={self.n_units}, "
                 f"T={self.n_periods}"
             )
         if not self.beta:
-            raise ValueError("beta must be nonempty")
+            raise ConfigurationError("beta must be nonempty")
         if self.hypothesis not in (NULL, ALTERNATIVE):
-            raise ValueError(f"unknown hypothesis {self.hypothesis!r}")
+            raise ConfigurationError(f"unknown hypothesis {self.hypothesis!r}")
         if self.hypothesis == ALTERNATIVE and len(self.tau) != len(self.beta):
-            raise ValueError(
+            raise ConfigurationError(
                 f"tau has length {len(self.tau)}, expected {len(self.beta)}"
             )
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ConfigurationError(
+                f"seed must be nonnegative, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,17 +168,17 @@ class ContaminationConfig:
             RANDOM_VERTICAL,
             CONCENTRATED_VERTICAL,
         ):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.n_outliers < 0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"n_outliers must be nonnegative, got {self.n_outliers}"
             )
         if self.scheme == NO_CONTAMINATION and self.n_outliers != 0:
-            raise ValueError("scheme 'none' cannot place outliers")
+            raise ConfigurationError("scheme 'none' cannot place outliers")
         if (self.low is None) != (self.high is None):
-            raise ValueError("low and high must be given together")
+            raise ConfigurationError("low and high must be given together")
         if self.low is not None and not (self.low < self.high):
-            raise ValueError(
+            raise ConfigurationError(
                 f"need low < high, got [{self.low}, {self.high})"
             )
 
@@ -180,7 +188,7 @@ class ContaminationConfig:
             return float(self.low), float(self.high)
         if self.scheme in _DEFAULT_BOUNDS:
             return _DEFAULT_BOUNDS[self.scheme]
-        raise ValueError("no replacement bounds for scheme 'none'")
+        raise ConfigurationError("no replacement bounds for scheme 'none'")
 
 
 def substream(seed: int, replication: int) -> np.random.Generator:
@@ -213,56 +221,49 @@ def _labels(n: int, t: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(f"u{i + 1:04d}" for i in range(n)), tuple(range(1, t + 1))
 
 
-def generate_null(
+def generate(
     cfg: DgpConfig, rng: Optional[np.random.Generator] = None
 ) -> PanelDataset:
-    """Panel with unit effects independent of the regressors.
+    """Panel ``y = X @ beta + alpha + eps`` under ``cfg.hypothesis``.
 
-    Draws, in order: regressors X (N, T, K), unit effects alpha (N,),
-    idiosyncratic errors eps (N, T), all standard normal, and sets
-    ``y = X @ beta + alpha + eps``.
+    Draws, in order: regressors X (N, T, K), unit shocks eta (N,) and
+    idiosyncratic errors eps (N, T), all standard normal. Under ``NULL``
+    the unit effect is ``alpha = eta``, independent of the regressors;
+    under ``ALTERNATIVE`` it is ``alpha_i = mean_t(x_it' tau) + eta_i``.
+    With ``tau = 0`` the two hypotheses give the same panel bit for bit.
+    ``rng`` defaults to the substream ``(cfg.seed, 0)``.
     """
     rng = rng if rng is not None else substream(cfg.seed, 0)
     n, t, k = cfg.n_units, cfg.n_periods, len(cfg.beta)
     x = standard_normal(rng, (n, t, k))
     alpha = standard_normal(rng, n)
     eps = standard_normal(rng, (n, t))
-    y = x @ np.array(cfg.beta) + alpha[:, np.newaxis] + eps
-    units, times = _labels(n, t)
-    return PanelDataset(units, times, y, x)
-
-
-def generate_alternative(
-    cfg: DgpConfig, rng: Optional[np.random.Generator] = None
-) -> PanelDataset:
-    """Panel whose unit effects are correlated with the regressors.
-
-    Identical draw order to :func:`generate_null` (X, unit shocks,
-    eps), but the unit effect is ``mean_t(x_it' tau) + eta_i``. With
-    ``tau = 0`` the output is bit-identical to the null draw.
-    """
-    if len(cfg.tau) != len(cfg.beta):
-        raise ValueError(
-            f"tau has length {len(cfg.tau)}, expected {len(cfg.beta)}"
-        )
-    rng = rng if rng is not None else substream(cfg.seed, 0)
-    n, t, k = cfg.n_units, cfg.n_periods, len(cfg.beta)
-    x = standard_normal(rng, (n, t, k))
-    eta = standard_normal(rng, n)
-    eps = standard_normal(rng, (n, t))
-    alpha = (x @ np.array(cfg.tau)).mean(axis=1) + eta
-    y = x @ np.array(cfg.beta) + alpha[:, np.newaxis] + eps
-    units, times = _labels(n, t)
-    return PanelDataset(units, times, y, x)
-
-
-def generate(
-    cfg: DgpConfig, rng: Optional[np.random.Generator] = None
-) -> PanelDataset:
-    """Dispatch on ``cfg.hypothesis``."""
     if cfg.hypothesis == ALTERNATIVE:
-        return generate_alternative(cfg, rng)
-    return generate_null(cfg, rng)
+        alpha = (x @ np.array(cfg.tau)).mean(axis=1) + alpha
+    y = x @ np.array(cfg.beta) + alpha[:, np.newaxis] + eps
+    units, times = _labels(n, t)
+    return PanelDataset(units, times, y, x)
+
+
+def _require_capacity(cfg: ContaminationConfig, n: int, t: int) -> int:
+    """Reject more outliers than ``cfg``'s scheme can place in N x T cells.
+
+    Returns the most cells one unit can take: all T for the random
+    scheme, one block of ceil(T / 2) for the concentrated one.
+    """
+    m = cfg.n_outliers
+    if cfg.scheme == CONCENTRATED_VERTICAL:
+        b = (t + 1) // 2
+        if m > n * b:
+            raise TooManyOutliersError(
+                f"cannot place {m} outliers in blocks of {b} over {n} units"
+            )
+        return b
+    if m > n * t:
+        raise TooManyOutliersError(
+            f"cannot place {m} outliers in {n * t} cells"
+        )
+    return t
 
 
 def contaminate_random(
@@ -282,13 +283,12 @@ def contaminate_random(
         ``m`` exceeds the number of cells.
     """
     if cfg.scheme != RANDOM_VERTICAL:
-        raise ValueError(f"expected scheme {RANDOM_VERTICAL!r}, got {cfg.scheme!r}")
-    n, t = dataset.y.shape
-    m = cfg.n_outliers
-    if m > n * t:
-        raise TooManyOutliersError(
-            f"cannot place {m} outliers in {n * t} cells"
+        raise ConfigurationError(
+            f"expected scheme {RANDOM_VERTICAL!r}, got {cfg.scheme!r}"
         )
+    n, t = dataset.y.shape
+    _require_capacity(cfg, n, t)
+    m = cfg.n_outliers
     if m == 0:
         return dataset
     low, high = cfg.bounds()
@@ -317,16 +317,12 @@ def contaminate_concentrated(
         ``m`` exceeds ``N * b``, the scheme's capacity.
     """
     if cfg.scheme != CONCENTRATED_VERTICAL:
-        raise ValueError(
+        raise ConfigurationError(
             f"expected scheme {CONCENTRATED_VERTICAL!r}, got {cfg.scheme!r}"
         )
     n, t = dataset.y.shape
+    b = _require_capacity(cfg, n, t)
     m = cfg.n_outliers
-    b = (t + 1) // 2
-    if m > n * b:
-        raise TooManyOutliersError(
-            f"cannot place {m} outliers in blocks of {b} over {n} units"
-        )
     if m == 0:
         return dataset
     low, high = cfg.bounds()
@@ -390,30 +386,19 @@ def _resolve_threads(n_threads: Optional[int]) -> int:
         raw = os.environ.get(THREADS_ENV_VAR, "").strip()
         if not raw:
             return 1
-        n_threads = int(raw)
+        try:
+            n_threads = int(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
         if n_threads == 0:
             return os.cpu_count() or 1
     if n_threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {n_threads}")
+        raise ConfigurationError(
+            f"thread count must be >= 1, got {n_threads}"
+        )
     return n_threads
-
-
-def _check_capacity(
-    dgp: DgpConfig, contamination: Optional[ContaminationConfig]
-) -> None:
-    """Reject impossible outlier counts before any replication runs."""
-    if contamination is None or contamination.scheme == NO_CONTAMINATION:
-        return
-    n, t, m = dgp.n_units, dgp.n_periods, contamination.n_outliers
-    if contamination.scheme == RANDOM_VERTICAL and m > n * t:
-        raise TooManyOutliersError(
-            f"cannot place {m} outliers in {n * t} cells"
-        )
-    b = (t + 1) // 2
-    if contamination.scheme == CONCENTRATED_VERTICAL and m > n * b:
-        raise TooManyOutliersError(
-            f"cannot place {m} outliers in blocks of {b} over {n} units"
-        )
 
 
 def _replicate(
@@ -461,11 +446,12 @@ def run_study(
         any value.
     """
     if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+        raise ConfigurationError(f"s must be >= 1, got {s}")
     gammas = tuple(float(g) for g in gamma_grid)
     if not gammas or any(not (0.0 < g < 1.0) for g in gammas):
-        raise ValueError(f"levels must lie in (0, 1), got {gammas}")
-    _check_capacity(dgp, contamination)
+        raise ConfigurationError(f"levels must lie in (0, 1), got {gammas}")
+    if contamination is not None:
+        _require_capacity(contamination, dgp.n_units, dgp.n_periods)
     workers = _resolve_threads(n_threads)
 
     if workers == 1:
@@ -501,9 +487,9 @@ def run_study(
     )
 
 
-def study_to_json(result: StudyResult) -> str:
-    """Deterministic JSON rendering of a study."""
-    doc = {
+def study_document(result: StudyResult) -> dict:
+    """The JSON fields of a study: counts, levels and per-test results."""
+    return {
         "s_replications": result.s_replications,
         "failures": result.failures,
         "df": result.df,
@@ -516,7 +502,24 @@ def study_to_json(result: StudyResult) -> str:
             for kind in sorted(result.statistics)
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def study_rows(result: StudyResult) -> list[tuple[str, str, str]]:
+    """``(test, gamma, rejection_rate)`` CSV cells, one row per test and level.
+
+    Tests come in sorted order and levels in grid order; numbers are
+    written by ``repr`` so they read back exactly.
+    """
+    return [
+        (kind, repr(gamma), repr(rate))
+        for kind in sorted(result.rejection_rates)
+        for gamma, rate in zip(result.gamma_grid, result.rejection_rates[kind])
+    ]
+
+
+def study_to_json(result: StudyResult) -> str:
+    """Deterministic JSON rendering of a study."""
+    return json.dumps(study_document(result), indent=2, sort_keys=True)
 
 
 def study_to_csv(result: StudyResult) -> str:
@@ -524,10 +527,6 @@ def study_to_csv(result: StudyResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["test", "gamma", "rejection_rate", "s", "failures"])
-    for kind in sorted(result.rejection_rates):
-        for gamma, rate in zip(result.gamma_grid, result.rejection_rates[kind]):
-            writer.writerow(
-                [kind, repr(gamma), repr(rate),
-                 result.s_replications, result.failures]
-            )
+    for row in study_rows(result):
+        writer.writerow([*row, result.s_replications, result.failures])
     return buf.getvalue()

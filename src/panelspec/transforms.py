@@ -50,11 +50,6 @@ class TransformedPanel:
     kind: str = WITHIN
     theta: Optional[float] = None
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit-major stacked ``(y, x)`` of shapes (NT,) and (NT, K)."""
-        n, t, k = self.x.shape
-        return self.y.reshape(n * t), self.x.reshape(n * t, k)
-
 
 def within_transform(dataset: PanelDataset) -> TransformedPanel:
     """Subtract each unit's time average from its response and regressors.

@@ -21,8 +21,9 @@ import numpy as np
 
 from ._linalg import lstsq_qr
 from .data import PanelDataset
-from .estimators import WEIGHTED_FIXED_EFFECTS, EstimateResult
+from .estimators import WEIGHTED_FIXED_EFFECTS, EstimateResult, _within_solve
 from .exceptions import (
+    ConfigurationError,
     DegenerateWeightsError,
     DeltaOutOfRangeError,
     EmptySampleError,
@@ -30,7 +31,6 @@ from .exceptions import (
     NonpositiveScaleError,
     ZeroTotalVariationError,
 )
-from .transforms import within_transform
 
 __all__ = [
     "HELLINGER",
@@ -98,13 +98,15 @@ class WleConfig:
                 f"kappa must be positive, got {self.kappa}"
             )
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigurationError("max_iterations must be >= 1")
         if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+            raise ConfigurationError("tolerance must be positive")
         if self.raf not in (HELLINGER, IDENTITY):
-            raise ValueError(f"unknown raf {self.raf!r}")
+            raise ConfigurationError(f"unknown raf {self.raf!r}")
         if self.weight_level not in (OBSERVATION_LEVEL, UNIT_LEVEL):
-            raise ValueError(f"unknown weight_level {self.weight_level!r}")
+            raise ConfigurationError(
+                f"unknown weight_level {self.weight_level!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -284,11 +286,9 @@ def weight_function(
     if raf == IDENTITY:
         adjusted = safe + 1.0
     elif raf == HELLINGER:
-        if np.any(safe <= -1.0):
-            raise DeltaOutOfRangeError("Pearson residuals must exceed -1")
-        adjusted = 2.0 * np.sqrt(safe + 1.0) - 1.0
+        adjusted = raf_hellinger(safe) + 1.0
     else:
-        raise ValueError(f"unknown raf {raf!r}")
+        raise ConfigurationError(f"unknown raf {raf!r}")
     w = np.minimum(1.0, np.maximum(0.0, adjusted) / (safe + 1.0))
     w = np.where(finite, w, 0.0)
     if np.isscalar(delta):
@@ -341,7 +341,7 @@ def fit_weighted_fixed_effects(
     """
     config = config or WleConfig()
     n_units, t, k = dataset.x.shape
-    y, x = within_transform(dataset).stacked()
+    y, x, beta, gram_inv, resid = _within_solve(dataset)
     n = y.size
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss <= 0.0:
@@ -349,8 +349,6 @@ def fit_weighted_fixed_effects(
             "demeaned response has no variation; nothing to fit"
         )
 
-    beta, gram_inv = lstsq_qr(x, y)
-    resid = y - x @ beta
     weights = np.ones(n)
     rss0 = float(resid @ resid)
     # Initial scale: the unit-weight case of the update formula below.

@@ -6,8 +6,21 @@ agreement with the estimators is evidence, not circularity.
 """
 
 import numpy as np
+from hypothesis import settings, strategies as st
 
 from panelspec import PanelDataset
+
+# Panel shapes and seeds for the property tests, passed to ``@given``.
+# Bounds keep N(T-1) > K and N > K + 1, so every estimator is identified,
+# and keep each example small enough for the fast suite.
+PANEL_SHAPES = dict(
+    n=st.integers(min_value=8, max_value=40),
+    t=st.integers(min_value=2, max_value=5),
+    k=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# Fixed example sequence, so a run is reproducible on every host.
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def make_panel(

@@ -24,6 +24,7 @@ from panelspec import (
     fit_fixed_effects,
     fit_pooled_ols,
     fit_weighted_fixed_effects,
+    to_stacked,
     within_transform,
 )
 from panelspec.inference import HAUSMAN, WEIGHTED_HAUSMAN
@@ -208,7 +209,7 @@ def test_criterion_8_weight_trivials_and_fixed_point():
         ds = make_panel(n, 4, 2, seed=5000 + r)
         res = fit_weighted_fixed_effects(ds)
         converged_all &= res.converged
-        _, x_within = within_transform(ds).stacked()
+        _, x_within = to_stacked(within_transform(ds))
         score = x_within.T @ (
             res.weights.reshape(-1) * res.residuals.reshape(-1)
         )

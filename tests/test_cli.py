@@ -1,4 +1,5 @@
-"""End-to-end command-line checks run through subprocesses."""
+"""End-to-end command-line checks, run through subprocesses except where a
+test patches the program in-process."""
 
 import importlib.resources as resources
 import json
@@ -9,6 +10,8 @@ import sys
 
 import jsonschema
 import pytest
+
+from panelspec import cli
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 DATA_FLAGS = ["--unit", "unit", "--time", "time", "--y", "y", "--x", "x1,x2"]
@@ -90,6 +93,39 @@ def test_fit_usage_and_data_errors():
     bad_flag = run_cli("fit", "--data", str(FIXTURES / "fe_oracle.csv"),
                        *DATA_FLAGS, "--method", "ridge")
     assert bad_flag.returncode == 2
+
+
+@pytest.mark.parametrize("command", [["fit", "--method", "fe"], ["test"]])
+def test_seed_is_a_simulate_flag_only(command):
+    proc = run_cli(command[0], "--data", str(FIXTURES / "fe_oracle.csv"),
+                   *DATA_FLAGS, *command[1:], "--seed", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 3" in proc.stderr
+    assert cli.build_parser().parse_args(["simulate", "--seed", "3"]).seed == 3
+
+
+@pytest.mark.parametrize("args, env", [
+    (["simulate", "--s", "0"], None),
+    (["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
+      "--method", "wfe", "--max-iter", "0"], None),
+    (["simulate", "--n", "25", "--s", "2"], {"PANELSPEC_THREADS": "abc"}),
+])
+def test_configuration_errors_exit_1(args, env):
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("panelspec: error:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "load_long_csv", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["fit", "--data", str(FIXTURES / "fe_oracle.csv"),
+                  *DATA_FLAGS, "--method", "fe"])
 
 
 def _test_report(*extra, data=None):

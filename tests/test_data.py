@@ -78,6 +78,10 @@ def test_schema_errors(tmp_path):
     p = _write(tmp_path / "p.csv", ["A,1,1.0,0.5"], header="unit,time,y,z")
     with pytest.raises(SchemaError):
         load_long_csv(p, SCHEMA)
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"unit,time,y,x1\nA,1,1.0,0.5\n\xff,2,2.0,1.5\n")
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        load_long_csv(latin, SCHEMA)
 
 
 def test_too_small_panels(tmp_path):

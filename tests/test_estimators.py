@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from panelspec import (
     PanelDataset,
@@ -16,7 +17,13 @@ from panelspec.exceptions import (
     RankDeficientDesignError,
 )
 
-from helpers import lsdv_slopes, make_panel, normal_equations
+from helpers import (
+    PANEL_SHAPES,
+    PROPERTY_SETTINGS,
+    lsdv_slopes,
+    make_panel,
+    normal_equations,
+)
 
 BETA = np.array([1.0, -1.5])
 
@@ -159,8 +166,11 @@ def test_random_effects_near_fixed_effects_under_null():
     assert np.max(np.abs(re.beta - fe.beta)) < 0.05
 
 
-def test_random_effects_forced_theta_one_equals_within():
-    ds = make_panel(30, 4, 2, seed=12)
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=30, t=4, k=2, seed=12)
+def test_random_effects_forced_theta_one_equals_within(n, t, k, seed):
+    ds = make_panel(n, t, k, seed=seed)
     re = fit_random_effects(ds, theta=1.0)
     fe = fit_fixed_effects(ds)
     assert np.allclose(re.beta, fe.beta, atol=1e-10)
@@ -176,17 +186,21 @@ def test_random_effects_records_components():
     assert re.sigma2_eps == vc.sigma2_eps
 
 
-def test_rescaling_equivariance():
-    ds = make_panel(15, 4, 3, seed=14)
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=15, t=4, k=3, seed=14)
+def test_rescaling_equivariance(n, t, k, seed):
+    ds = make_panel(n, t, k, seed=seed)
     c = -2.5
+    j = k // 2
     x = np.array(ds.x)
-    x[:, :, 1] *= c
+    x[:, :, j] *= c
     scaled = PanelDataset(ds.unit_ids, ds.time_ids, ds.y, x)
     for fit in (fit_pooled_ols, fit_fixed_effects, fit_random_effects):
         base = fit(ds)
         res = fit(scaled)
         expect = np.array(base.beta)
-        expect[1] /= c
+        expect[j] /= c
         assert np.allclose(res.beta, expect, rtol=1e-10), fit.__name__
 
 

@@ -19,8 +19,6 @@ from panelspec.mcstudy import (
     contaminate_concentrated,
     contaminate_random,
     generate,
-    generate_alternative,
-    generate_null,
     run_study,
     standard_normal,
     study_to_csv,
@@ -48,8 +46,8 @@ def test_standard_normal_moments_and_determinism():
 
 def test_generate_null_reproducible_and_shaped():
     cfg = DgpConfig(n_units=30, n_periods=3, seed=5)
-    a = generate_null(cfg)
-    b = generate_null(cfg)
+    a = generate(cfg)
+    b = generate(cfg, substream(5, 0))
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.x, b.x)
     assert a.y.shape == (30, 3)
@@ -60,7 +58,7 @@ def test_generate_null_reproducible_and_shaped():
 
 def test_generate_null_error_structure():
     cfg = DgpConfig(n_units=2000, n_periods=4, seed=6)
-    ds = generate_null(cfg)
+    ds = generate(cfg)
     u = ds.y - ds.x @ np.array(cfg.beta)
     assert 1.8 <= float(u.var()) <= 2.2
     # cross-period covariance within a unit estimates the effect variance
@@ -74,8 +72,8 @@ def test_alternative_with_zero_tau_matches_null():
         n_units=40, n_periods=4, hypothesis=ALTERNATIVE,
         tau=(0.0, 0.0), seed=8,
     )
-    a = generate_null(null_cfg)
-    b = generate_alternative(alt_cfg)
+    a = generate(null_cfg)
+    b = generate(alt_cfg)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.x, b.x)
 
@@ -85,7 +83,7 @@ def test_alternative_effects_track_regressors():
         n_units=2000, n_periods=4, hypothesis=ALTERNATIVE,
         tau=(1.0, 1.0), seed=9,
     )
-    ds = generate_alternative(cfg)
+    ds = generate(cfg)
     alpha_hat = (ds.y - ds.x @ np.array(cfg.beta)).mean(axis=1)
     xbar = ds.x[:, :, 0].mean(axis=1)
     corr = float(np.corrcoef(alpha_hat, xbar)[0, 1])
@@ -93,12 +91,22 @@ def test_alternative_effects_track_regressors():
 
 
 def test_generate_dispatches_on_hypothesis():
+    tau = np.array([0.5, -2.0])
     alt_cfg = DgpConfig(
-        n_units=20, n_periods=3, hypothesis=ALTERNATIVE, seed=10
+        n_units=20, n_periods=3, hypothesis=ALTERNATIVE, tau=tau, seed=10
     )
-    a = generate(alt_cfg)
-    b = generate_alternative(alt_cfg)
-    assert np.array_equal(a.y, b.y)
+    null_cfg = DgpConfig(n_units=20, n_periods=3, tau=tau, seed=10)
+    rng = substream(10, 0)
+    x = standard_normal(rng, (20, 3, 2))
+    eta = standard_normal(rng, 20)
+    eps = standard_normal(rng, (20, 3))
+    base = x @ np.array(null_cfg.beta)
+    alt = generate(alt_cfg)
+    null = generate(null_cfg)
+    assert np.array_equal(null.x, x) and np.array_equal(alt.x, x)
+    assert np.array_equal(null.y, base + eta[:, np.newaxis] + eps)
+    alpha = (x @ tau).mean(axis=1) + eta
+    assert np.array_equal(alt.y, base + alpha[:, np.newaxis] + eps)
 
 
 def test_dgp_config_validation():
@@ -138,7 +146,7 @@ def test_contamination_config_validation():
 
 
 def _clean_panel(seed):
-    return generate_null(DgpConfig(n_units=100, n_periods=3, seed=seed))
+    return generate(DgpConfig(n_units=100, n_periods=3, seed=seed))
 
 
 def test_random_contamination_replaces_exact_count():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -25,7 +26,7 @@ from panelspec.mcstudy import (
     DgpConfig,
     RANDOM_VERTICAL,
     contaminate_random,
-    generate_null,
+    generate,
     substream,
 )
 from panelspec.exceptions import (
@@ -36,7 +37,7 @@ from panelspec.exceptions import (
     ZeroTotalVariationError,
 )
 
-from helpers import make_panel
+from helpers import PANEL_SHAPES, PROPERTY_SETTINGS, make_panel
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -231,8 +232,11 @@ def test_weighted_fit_clean_data_near_within():
     assert wfe.weights.shape == (200, 4)
 
 
-def test_weighted_fit_identity_equals_within():
-    ds = make_panel(50, 4, 2, seed=25)
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=50, t=4, k=2, seed=25)
+def test_weighted_fit_identity_equals_within(n, t, k, seed):
+    ds = make_panel(n, t, k, seed=seed)
     fe = fit_fixed_effects(ds)
     wfe = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
     assert np.allclose(wfe.beta, fe.beta, atol=1e-10)
@@ -250,7 +254,7 @@ def test_weighted_fit_downweights_outliers_and_dominates():
 
     # One replication in detail: every replaced cell gets weight < 0.1.
     rng = substream(dgp.seed, 0)
-    clean = generate_null(dgp, rng)
+    clean = generate(dgp, rng)
     dirty = contaminate_random(clean, cc, rng)
     mask = dirty.y != clean.y
     assert int(mask.sum()) == 15
@@ -263,16 +267,19 @@ def test_weighted_fit_downweights_outliers_and_dominates():
     reps = 200
     for r in range(reps):
         rng = substream(dgp.seed, r)
-        ds = contaminate_random(generate_null(dgp, rng), cc, rng)
+        ds = contaminate_random(generate(dgp, rng), cc, rng)
         fe_err = np.max(np.abs(fit_fixed_effects(ds).beta - beta))
         wfe_err = np.max(np.abs(fit_weighted_fixed_effects(ds).beta - beta))
         wins += wfe_err < fe_err
     assert wins >= 0.8 * reps
 
 
-def test_weighted_fit_unit_permutation_invariance():
-    ds = make_panel(30, 4, 2, seed=27)
-    perm = np.random.default_rng(28).permutation(30)
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=30, t=4, k=2, seed=27)
+def test_weighted_fit_unit_permutation_invariance(n, t, k, seed):
+    ds = make_panel(n, t, k, seed=seed)
+    perm = np.random.default_rng(seed + 1).permutation(n)
     permuted = PanelDataset(
         tuple(ds.unit_ids[i] for i in perm),
         ds.time_ids, ds.y[perm], ds.x[perm],
@@ -299,7 +306,7 @@ def test_weighted_fit_non_convergence_reported():
     dgp = DgpConfig(n_units=100, n_periods=3, seed=30)
     cc = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
     rng = substream(dgp.seed, 0)
-    ds = contaminate_random(generate_null(dgp, rng), cc, rng)
+    ds = contaminate_random(generate(dgp, rng), cc, rng)
     res = fit_weighted_fixed_effects(ds, WleConfig(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
@@ -309,7 +316,7 @@ def test_weighted_fit_unit_level_weights():
     dgp = DgpConfig(n_units=50, n_periods=4, seed=31)
     cc = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=10)
     rng = substream(dgp.seed, 0)
-    ds = contaminate_random(generate_null(dgp, rng), cc, rng)
+    ds = contaminate_random(generate(dgp, rng), cc, rng)
     res = fit_weighted_fixed_effects(ds, WleConfig(weight_level=UNIT_LEVEL))
     assert np.all(np.ptp(res.weights, axis=1) == 0.0)
 
