@@ -26,7 +26,6 @@ from .inference import (
     WEIGHTED_HAUSMAN,
     TestResult,
     chi_square_sf,
-    fit_statistics,
     hausman_test,
     weighted_hausman_test,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "chi_square_sf",
     "hausman_test",
     "weighted_hausman_test",
-    "fit_statistics",
     "NULL",
     "ALTERNATIVE",
     "NO_CONTAMINATION",

@@ -28,7 +28,7 @@ from .estimators import (
     fit_random_effects,
 )
 from .exceptions import PanelSpecError
-from .inference import fit_statistics, hausman_test, weighted_hausman_test
+from .inference import hausman_test, weighted_hausman_test
 from .mcstudy import (
     ALTERNATIVE,
     CONCENTRATED_VERTICAL,
@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wle_flags(p_sim)
     p_sim.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads; default reads PANELSPEC_THREADS "
-        "(0 or unset = auto). Results are identical for any value.",
+        help="worker threads, >= 1; default reads PANELSPEC_THREADS "
+        "(unset = serial, 0 = all cores). Results are identical for any "
+        "value.",
     )
     p_sim.add_argument(
         "--paper-figure", type=int, choices=[1, 2, 4, 5], default=None,
@@ -287,8 +288,6 @@ def cmd_test(args: argparse.Namespace) -> int:
     if args.which in ("weighted", "both"):
         wfe = fit_weighted_fixed_effects(dataset, _wle_config(args))
         records.append(weighted_hausman_test(wfe, re))
-    rss_fe, r2_fe = fit_statistics(fe)
-    rss_re, r2_re = fit_statistics(re)
     if args.format == "json":
         doc = {
             "tests": [
@@ -303,10 +302,10 @@ def cmd_test(args: argparse.Namespace) -> int:
                 for t in records
             ],
             "fit_statistics": {
-                "rss_fe": rss_fe,
-                "rss_re": rss_re,
-                "r_squared_fe": r2_fe,
-                "r_squared_re": r2_re,
+                "rss_fe": fe.rss,
+                "rss_re": re.rss,
+                "r_squared_fe": fe.r_squared,
+                "r_squared_re": re.r_squared,
             },
             "theta": re.variance_components.theta,
             "n_units": dataset.n_units,
@@ -323,8 +322,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         for t in records:
             writer.writerow(
                 [t.kind, repr(t.statistic), t.df, repr(t.p_value),
-                 t.repaired, repr(rss_fe), repr(rss_re),
-                 repr(r2_fe), repr(r2_re)]
+                 t.repaired, repr(fe.rss), repr(re.rss),
+                 repr(fe.r_squared), repr(re.r_squared)]
             )
         _print(buf.getvalue())
     return 0

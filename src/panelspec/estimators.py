@@ -9,7 +9,7 @@ pair of fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -125,18 +125,50 @@ def _total_variation(y: np.ndarray) -> float:
     return tss
 
 
-def _within_solve(
-    dataset: PanelDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The unweighted within regression: demean, stack and solve.
+def _ols(panel) -> tuple[np.ndarray, ...]:
+    """Stack a panel, raw or transformed, and solve it by least squares.
 
-    Shared by the within fit, the variance components and the start of
-    the weighted fit. Returns the stacked demeaned ``(y, x)``, the
-    slopes, ``(x'x)^-1`` and the residuals ``y - x @ beta``.
+    Returns the stacked ``(y, x)``, the slopes, ``(x'x)^-1`` and the
+    residuals ``y - x @ beta``.
     """
-    y, x = to_stacked(within_transform(dataset))
+    y, x = to_stacked(panel)
     beta, gram_inv = lstsq_qr(x, y)
     return y, x, beta, gram_inv, y - x @ beta
+
+
+def _fit_result(
+    method: str,
+    n_units: int,
+    solve: tuple,
+    *,
+    dof: Optional[int] = None,
+    sigma2_eps: Optional[float] = None,
+    sigma2_alpha: float = 0.0,
+    **fields,
+) -> EstimateResult:
+    """Summarize a least-squares solve ``(y, x, beta, gram_inv, resid)``.
+
+    The RSS, TSS and R^2 are taken on the scale of ``y``; the
+    covariance is ``sigma2_eps * gram_inv``, with ``sigma2_eps = rss /
+    dof`` unless given.
+    """
+    y, _, beta, gram_inv, resid = solve
+    rss = float(resid @ resid)
+    if sigma2_eps is None:
+        sigma2_eps = rss / dof
+    tss = _total_variation(y)
+    return EstimateResult(
+        method=method,
+        beta=beta,
+        cov_beta=sigma2_eps * gram_inv,
+        sigma2_eps=sigma2_eps,
+        sigma2_alpha=sigma2_alpha,
+        residuals=resid.reshape(n_units, -1),
+        rss=rss,
+        r_squared=1.0 - rss / tss,
+        tss=tss,
+        **fields,
+    )
 
 
 def fit_pooled_ols(dataset: PanelDataset) -> EstimateResult:
@@ -154,23 +186,7 @@ def fit_pooled_ols(dataset: PanelDataset) -> EstimateResult:
         The response has no variation.
     """
     n, t, k = dataset.x.shape
-    y, x = to_stacked(dataset)
-    beta, gram_inv = lstsq_qr(x, y)
-    resid = y - x @ beta
-    rss = float(resid @ resid)
-    sigma2 = rss / (n * t - k)
-    tss = _total_variation(y)
-    return EstimateResult(
-        method=POOLED_OLS,
-        beta=beta,
-        cov_beta=sigma2 * gram_inv,
-        sigma2_eps=sigma2,
-        sigma2_alpha=0.0,
-        residuals=resid.reshape(n, t),
-        rss=rss,
-        r_squared=1.0 - rss / tss,
-        tss=tss,
-    )
+    return _fit_result(POOLED_OLS, n, _ols(dataset), dof=n * t - k)
 
 
 def fit_fixed_effects(dataset: PanelDataset) -> EstimateResult:
@@ -188,20 +204,8 @@ def fit_fixed_effects(dataset: PanelDataset) -> EstimateResult:
         The demeaned response has no variation.
     """
     n, t, k = dataset.x.shape
-    y, _, beta, gram_inv, resid = _within_solve(dataset)
-    rss = float(resid @ resid)
-    sigma2_eps = rss / (n * (t - 1) - k)
-    tss = _total_variation(y)
-    return EstimateResult(
-        method=FIXED_EFFECTS,
-        beta=beta,
-        cov_beta=sigma2_eps * gram_inv,
-        sigma2_eps=sigma2_eps,
-        sigma2_alpha=0.0,
-        residuals=resid.reshape(n, t),
-        rss=rss,
-        r_squared=1.0 - rss / tss,
-        tss=tss,
+    return _fit_result(
+        FIXED_EFFECTS, n, _ols(within_transform(dataset)), dof=n * (t - 1) - k
     )
 
 
@@ -228,7 +232,7 @@ def estimate_variance_components(dataset: PanelDataset) -> VarianceComponents:
             f"variance components need N(T-1) > K and N > K+1; "
             f"got N={n}, T={t}, K={k}"
         )
-    resid_w = _within_solve(dataset)[4]
+    resid_w = _ols(within_transform(dataset))[4]
     sigma2_eps = float(resid_w @ resid_w) / (n * (t - 1) - k)
 
     y_b = dataset.y.mean(axis=1)
@@ -276,28 +280,13 @@ def fit_random_effects(
     ZeroTotalVariationError
         The quasi-demeaned response has no variation.
     """
-    n, t, k = dataset.x.shape
     vc = estimate_variance_components(dataset)
     used_theta = vc.theta if theta is None else float(theta)
-    y, x = to_stacked(quasi_demean(dataset, used_theta))
-    beta, gram_inv = lstsq_qr(x, y)
-    resid = y - x @ beta
-    rss = float(resid @ resid)
-    tss = _total_variation(y)
-    vc_used = VarianceComponents(
+    return _fit_result(
+        RANDOM_EFFECTS,
+        dataset.n_units,
+        _ols(quasi_demean(dataset, used_theta)),
         sigma2_eps=vc.sigma2_eps,
         sigma2_alpha=vc.sigma2_alpha,
-        theta=used_theta,
-    )
-    return EstimateResult(
-        method=RANDOM_EFFECTS,
-        beta=beta,
-        cov_beta=vc.sigma2_eps * gram_inv,
-        sigma2_eps=vc.sigma2_eps,
-        sigma2_alpha=vc.sigma2_alpha,
-        residuals=resid.reshape(n, t),
-        rss=rss,
-        r_squared=1.0 - rss / tss,
-        tss=tss,
-        variance_components=vc_used,
+        variance_components=replace(vc, theta=used_theta),
     )

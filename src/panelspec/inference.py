@@ -28,7 +28,6 @@ from .exceptions import (
     DimensionMismatchError,
     MethodMismatchError,
     NegativeArgumentError,
-    ZeroTotalVariationError,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "chi_square_sf",
     "hausman_test",
     "weighted_hausman_test",
-    "fit_statistics",
 ]
 
 HAUSMAN = "hausman"
@@ -197,23 +195,3 @@ def _check_re(re_result: EstimateResult, other: EstimateResult) -> None:
             f"{len(re_result.beta)}"
         )
 
-
-def fit_statistics(result: EstimateResult) -> tuple[float, float]:
-    """Residual sum of squares and R^2 of a fit, on its own scale.
-
-    Recomputes the RSS from the stored residuals and sets it against
-    the total variation of the transformed response recorded by the
-    fit.
-
-    Raises
-    ------
-    ZeroTotalVariationError
-        The recorded total variation is not positive.
-    """
-    resid = np.asarray(result.residuals, dtype=float)
-    rss = float(np.sum(resid * resid))
-    if not (result.tss > 0.0):
-        raise ZeroTotalVariationError(
-            "total variation must be positive to form R^2"
-        )
-    return rss, 1.0 - rss / result.tss

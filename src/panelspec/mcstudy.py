@@ -441,9 +441,9 @@ def run_study(
     Parameters
     ----------
     n_threads : int, optional
-        Worker threads. None reads the PANELSPEC_THREADS environment
-        variable (0 or unset = auto/serial). Results are identical for
-        any value.
+        Worker threads, >= 1. None reads the PANELSPEC_THREADS
+        environment variable: unset means serial and 0 means all cores.
+        Results are identical for any value.
     """
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
@@ -496,7 +496,11 @@ def study_document(result: StudyResult) -> dict:
         "gamma_grid": list(result.gamma_grid),
         "tests": {
             kind: {
-                "rejection_rates": list(result.rejection_rates[kind]),
+                # NaN (every replication failed) is not JSON: write null.
+                "rejection_rates": [
+                    None if math.isnan(r) else r
+                    for r in result.rejection_rates[kind]
+                ],
                 "statistics": [float(v) for v in result.statistics[kind]],
             }
             for kind in sorted(result.statistics)

@@ -21,7 +21,12 @@ import numpy as np
 
 from ._linalg import lstsq_qr
 from .data import PanelDataset
-from .estimators import WEIGHTED_FIXED_EFFECTS, EstimateResult, _within_solve
+from .estimators import (
+    WEIGHTED_FIXED_EFFECTS,
+    EstimateResult,
+    _fit_result,
+    _ols,
+)
 from .exceptions import (
     ConfigurationError,
     DegenerateWeightsError,
@@ -29,14 +34,12 @@ from .exceptions import (
     EmptySampleError,
     NonpositiveBandwidthError,
     NonpositiveScaleError,
-    ZeroTotalVariationError,
 )
+from .transforms import within_transform
 
 __all__ = [
     "HELLINGER",
     "IDENTITY",
-    "OBSERVATION_LEVEL",
-    "UNIT_LEVEL",
     "WleConfig",
     "WeightState",
     "kernel_density_at",
@@ -52,9 +55,6 @@ HELLINGER = "hellinger"
 # Diagnostic adjustment A(delta) = delta: weights are identically one and
 # the fit reproduces unweighted least squares.
 IDENTITY = "identity"
-
-OBSERVATION_LEVEL = "observation"
-UNIT_LEVEL = "unit"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -80,17 +80,12 @@ class WleConfig:
     raf : str
         Residual adjustment function: ``HELLINGER`` (default) or the
         ``IDENTITY`` diagnostic.
-    weight_level : str
-        ``OBSERVATION_LEVEL`` applies each demeaned observation its own
-        weight; ``UNIT_LEVEL`` gives every observation in a unit the
-        unit's average weight.
     """
 
     kappa: float = 0.5
     max_iterations: int = 50
     tolerance: float = 1e-6
     raf: str = HELLINGER
-    weight_level: str = OBSERVATION_LEVEL
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
@@ -103,10 +98,6 @@ class WleConfig:
             raise ConfigurationError("tolerance must be positive")
         if self.raf not in (HELLINGER, IDENTITY):
             raise ConfigurationError(f"unknown raf {self.raf!r}")
-        if self.weight_level not in (OBSERVATION_LEVEL, UNIT_LEVEL):
-            raise ConfigurationError(
-                f"unknown weight_level {self.weight_level!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -341,28 +332,19 @@ def fit_weighted_fixed_effects(
     """
     config = config or WleConfig()
     n_units, t, k = dataset.x.shape
-    y, x, beta, gram_inv, resid = _within_solve(dataset)
+    y, x, beta, gram_inv, resid = _ols(within_transform(dataset))
     n = y.size
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss <= 0.0:
-        raise ZeroTotalVariationError(
-            "demeaned response has no variation; nothing to fit"
-        )
-
     weights = np.ones(n)
-    rss0 = float(resid @ resid)
     # Initial scale: the unit-weight case of the update formula below.
-    sigma2_nu = rss0 / (n - k)
+    sigma2_nu = float(resid @ resid) / (n - k)
     converged = False
     iterations = 0
 
     if sigma2_nu > 0.0:
         for iterations in range(1, config.max_iterations + 1):
-            delta = pearson_residuals(resid, math.sqrt(sigma2_nu), config)
-            weights = np.asarray(weight_function(delta, config.raf))
-            if config.weight_level == UNIT_LEVEL:
-                unit_means = weights.reshape(n_units, t).mean(axis=1)
-                weights = np.repeat(unit_means, t)
+            weights = compute_weight_state(
+                resid, math.sqrt(sigma2_nu), config
+            ).weights
             sum_w = float(weights.sum())
             if sum_w <= k:
                 raise DegenerateWeightsError(
@@ -383,22 +365,15 @@ def fit_weighted_fixed_effects(
         # The within fit is exact; there is nothing to reweight.
         converged = True
 
-    rss = float(resid @ resid)
     sum_w = float(weights.sum())
     wrss = float(weights @ (resid * resid))
     # Weighted variance with the demeaning constraints in the correction,
     # so unit weights reduce to rss / (N(T-1) - K) exactly.
-    sigma2_eps = wrss / (sum_w * (n - n_units - k) / n)
-    return EstimateResult(
-        method=WEIGHTED_FIXED_EFFECTS,
-        beta=beta,
-        cov_beta=sigma2_eps * gram_inv,
-        sigma2_eps=sigma2_eps,
-        sigma2_alpha=0.0,
-        residuals=resid.reshape(n_units, t),
-        rss=rss,
-        r_squared=1.0 - rss / tss,
-        tss=tss,
+    return _fit_result(
+        WEIGHTED_FIXED_EFFECTS,
+        n_units,
+        (y, x, beta, gram_inv, resid),
+        sigma2_eps=wrss / (sum_w * (n - n_units - k) / n),
         converged=converged,
         iterations=iterations,
         weights=weights.reshape(n_units, t),

@@ -118,6 +118,16 @@ def test_configuration_errors_exit_1(args, env):
     assert proc.stderr.count("\n") == 1
 
 
+def test_short_row_is_a_data_error(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text("unit,time,y,x1,x2\na,1,1.0,2.0\n")
+    proc = run_cli("fit", "--data", str(short), *DATA_FLAGS, "--method", "fe")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("panelspec: error:")
+    assert proc.stderr.count("\n") == 1
+    assert "short.csv:2: row has 4 fields, header has 5" in proc.stderr
+
+
 def test_internal_value_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
@@ -150,6 +160,14 @@ def test_both_tests_on_contaminated_fixture():
     assert set(stats) == {"rss_fe", "rss_re", "r_squared_fe", "r_squared_re"}
     assert stats["rss_fe"] > 0 and stats["rss_re"] > 0
     assert 0.0 <= doc["theta"] <= 1.0
+
+
+def test_report_fit_statistics_equal_fit_fields():
+    stats = _test_report()["fit_statistics"]
+    for method, suffix in (("fe", "_fe"), ("re", "_re")):
+        doc = _fit(method, FIXTURES / "contaminated_alt.csv")
+        assert stats["rss" + suffix] == doc["rss"]
+        assert stats["r_squared" + suffix] == doc["r_squared"]
 
 
 def test_which_selects_single_record():
@@ -199,6 +217,24 @@ def test_simulate_json_schema_and_determinism():
     assert run["s_replications"] == 3
     assert run["failures"] == 0
     assert sorted(run["tests"]) == ["hausman", "weighted_hausman"]
+
+
+def test_simulate_all_failed_is_strict_json():
+    # N(T-1) = 2 does not exceed K = 2, so every replication fails.
+    proc = run_cli("simulate", "--n", "2", "--t", "2", "--s", "3")
+    assert proc.returncode == 0, proc.stderr
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(proc.stdout, parse_constant=reject)
+    jsonschema.validate(instance=doc,
+                        schema=_schema("simulate_report.schema.json"))
+    run = doc["runs"][0]
+    assert run["failures"] == 3
+    for test in run["tests"].values():
+        assert test["rejection_rates"] == [None]
+        assert test["statistics"] == []
 
 
 def test_simulate_insensitive_to_thread_count():

@@ -82,6 +82,10 @@ def test_schema_errors(tmp_path):
     latin.write_bytes(b"unit,time,y,x1\nA,1,1.0,0.5\n\xff,2,2.0,1.5\n")
     with pytest.raises(SchemaError, match="not UTF-8"):
         load_long_csv(latin, SCHEMA)
+    short = _write(tmp_path / "short.csv", ["A,1,1.0,0.5", "A,2,2.0"])
+    with pytest.raises(SchemaError, match="short.csv:3: row has 3 fields, "
+                                          "header has 4"):
+        load_long_csv(short, SCHEMA)
 
 
 def test_too_small_panels(tmp_path):

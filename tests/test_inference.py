@@ -1,4 +1,4 @@
-"""Specification tests, chi-square tails, and fit statistics."""
+"""Specification tests and chi-square tails."""
 
 import math
 
@@ -13,7 +13,6 @@ from panelspec import (
     chi_square_sf,
     fit_fixed_effects,
     fit_random_effects,
-    fit_statistics,
     fit_weighted_fixed_effects,
     hausman_test,
     weighted_hausman_test,
@@ -30,7 +29,6 @@ from panelspec.exceptions import (
     DimensionMismatchError,
     MethodMismatchError,
     NegativeArgumentError,
-    ZeroTotalVariationError,
 )
 
 from helpers import make_panel
@@ -229,27 +227,3 @@ def test_method_and_dimension_guards():
     with pytest.raises(DimensionMismatchError):
         weighted_hausman_test(wfe, re2)
 
-
-def test_fit_statistics_values():
-    perfect = _result(POOLED_OLS, [1.0], [[1.0]],
-                      residuals=np.zeros((2, 2)), tss=5.0)
-    assert fit_statistics(perfect) == (0.0, 1.0)
-    hand = _result(FIXED_EFFECTS, [1.0], [[1.0]],
-                   residuals=np.array([[1.0, -1.0], [1.0, -1.0]]), tss=8.0)
-    rss, r2 = fit_statistics(hand)
-    assert rss == 4.0
-    assert r2 == 0.5
-
-
-def test_fit_statistics_zero_variation():
-    degenerate = _result(POOLED_OLS, [1.0], [[1.0]], tss=0.0)
-    with pytest.raises(ZeroTotalVariationError):
-        fit_statistics(degenerate)
-
-
-def test_fit_statistics_matches_fit_fields():
-    ds = make_panel(20, 4, 2, seed=47)
-    res = fit_fixed_effects(ds)
-    rss, r2 = fit_statistics(res)
-    assert rss == pytest.approx(res.rss, rel=1e-12)
-    assert r2 == pytest.approx(res.r_squared, rel=1e-12)

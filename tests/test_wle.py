@@ -20,7 +20,7 @@ from panelspec import (
     smoothed_model_density,
     weight_function,
 )
-from panelspec.wle import HELLINGER, IDENTITY, UNIT_LEVEL
+from panelspec.wle import HELLINGER, IDENTITY
 from panelspec.mcstudy import (
     ContaminationConfig,
     DgpConfig,
@@ -218,8 +218,6 @@ def test_wle_config_validation():
         WleConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         WleConfig(raf="bogus")
-    with pytest.raises(ValueError):
-        WleConfig(weight_level="bogus")
 
 
 def test_weighted_fit_clean_data_near_within():
@@ -310,15 +308,6 @@ def test_weighted_fit_non_convergence_reported():
     res = fit_weighted_fixed_effects(ds, WleConfig(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
-
-
-def test_weighted_fit_unit_level_weights():
-    dgp = DgpConfig(n_units=50, n_periods=4, seed=31)
-    cc = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=10)
-    rng = substream(dgp.seed, 0)
-    ds = contaminate_random(generate(dgp, rng), cc, rng)
-    res = fit_weighted_fixed_effects(ds, WleConfig(weight_level=UNIT_LEVEL))
-    assert np.all(np.ptp(res.weights, axis=1) == 0.0)
 
 
 def test_weighted_fit_on_exact_data():
