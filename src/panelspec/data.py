@@ -186,7 +186,7 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     ------
     SchemaError
         The file is not UTF-8 text, a schema column is missing from
-        the header, or a row has fewer fields than the header.
+        the header, or a row has more or fewer fields than the header.
     NonNumericValueError
         A response or regressor cell does not parse as a number.
     DuplicateCellError
@@ -224,7 +224,7 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise SchemaError(
                     f"{path}:{lineno}: row has {len(row)} fields, "
                     f"header has {len(header)}"

@@ -14,6 +14,7 @@ the coefficients settle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -62,6 +63,42 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # over evaluation points, which leaves every per-point sum unchanged.
 _CHUNK_CELLS = 4_000_000
 
+# Fast Gauss transform (Greengard & Strain 1991; Yang, Duraiswami & Gumerov
+# 2003), in kernel units z = x / h. Sources fall in boxes of width one; box
+# b, centred at c_b = b + 1/2, keeps the moments
+#     M_bk = sum_i exp(-s_i^2 / 2) s_i^k / k!,   s_i = z_i - c_b,
+# and a target at t = y - c_b reads it as
+#     sum_i exp(-(t - s_i)^2 / 2) ~= exp(-t^2 / 2) sum_{k<P} M_bk t^k,
+# from exp(-(t - s)^2/2) = exp(-t^2/2) exp(-s^2/2) e^{ts}. Each target sums
+# the boxes within R of its own, so |s| <= 1/2 and |t| <= R + 1/2, each
+# widened by 2^-8 for the rounding of keys and centres below
+# _FGT_MAX_REACH. Per source, in units of the kernel's peak, the Taylor
+# remainder is at most exp(-(t^2 + s^2)/2) |ts|^P / P! max(1, e^{ts}),
+# whose maximum over that range (at t ~ 5.4) is 3.1e-21 for P = 26; a
+# source beyond the reach lies more than R - 2^-8 away and adds at most
+# exp(-(R - 2^-8)^2 / 2) = 2.0e-22 for R = 10. The absolute error is thus
+# below n * 3.1e-21 peaks. At a sample point the dense sum is at least one
+# peak (the point's own term), so there the error is below 1e-13 relative
+# for n up to 3e7; rounding adds the few ulps per term that the dense sum
+# also carries.
+_FGT_ORDER = 26
+_FGT_RADIUS = 10
+_FGT_OFFSETS = np.arange(-_FGT_RADIUS, _FGT_RADIUS + 1, dtype=float)
+# Beyond 2^44 bandwidths from zero, box keys and centres lose the precision
+# the bound above assumes; such samples take the dense path.
+_FGT_MAX_REACH = 2.0**44
+# Size (sample x points) from which the FGT runs: the smallest n = m where
+# it beat the dense loop by more than the repeat-to-repeat spread. Timed
+# with points = sample, h = 0.5, one BLAS thread, on a 2-core x86-64 host:
+# the dense loop is 4-6x faster at n = 100-150; at n = 200-275 the two
+# differ by less than the spread in at least one run; from
+# n = 300 the FGT wins beyond the spread in every run (0.61-0.66 against
+# 0.95-1.05 ms), 4x at n = 800 and 13x at n = 2000.
+_FGT_MIN_CELLS = 300 * 300
+# Targets per evaluation block: keeps each (targets x offsets) scratch array
+# near 170 kB, in cache.
+_FGT_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class WleConfig:
@@ -92,8 +129,14 @@ class WleConfig:
             raise NonpositiveBandwidthError(
                 f"kappa must be positive, got {self.kappa}"
             )
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        if (
+            not isinstance(self.max_iterations, numbers.Integral)
+            or self.max_iterations < 1
+        ):
+            raise ConfigurationError(
+                f"max_iterations must be an integer >= 1, "
+                f"got {self.max_iterations!r}"
+            )
         if not (self.tolerance > 0.0):
             raise ConfigurationError("tolerance must be positive")
         if self.raf not in (HELLINGER, IDENTITY):
@@ -143,8 +186,17 @@ def kernel_density_at(
 
     Notes
     -----
-    Each output value sums over the entire sample, so results do not
-    depend on how the evaluation points are chunked internally.
+    Below ``_FGT_MIN_CELLS`` sample-point pairs, and whenever an input is
+    non-finite or lies more than ``2**44`` bandwidths from zero, each
+    value is a direct sum over the entire sample, chunked over the
+    evaluation points without changing any per-point sum. Larger jobs
+    use a fast Gauss transform (Greengard & Strain 1991; Yang,
+    Duraiswami & Gumerov 2003) in time linear in n + m, with P = 26 Taylor
+    terms and a reach of 10 bandwidths: its absolute error is below
+    ``n * 3.1e-21`` kernel peaks, which is 1e-13 relative to the direct
+    sum at any sample point for n up to 3e7. Points more than 10
+    bandwidths from every sample value, where the density is below
+    ``exp(-50)`` of a peak, get no such relative guarantee.
     """
     sample = np.asarray(sample, dtype=float).ravel()
     points = np.asarray(points, dtype=float).ravel()
@@ -155,13 +207,65 @@ def kernel_density_at(
             f"bandwidth must be positive, got {bandwidth}"
         )
     n = sample.size
+    scale = 1.0 / (n * bandwidth * _SQRT_2PI)
+    if n * points.size >= _FGT_MIN_CELLS:
+        reach = max(np.abs(sample).max(), np.abs(points).max()) / bandwidth
+        if reach < _FGT_MAX_REACH:  # False for NaN and inf as well
+            return _fast_gauss_transform(sample, points, bandwidth) * scale
     out = np.empty(points.size)
     step = max(1, _CHUNK_CELLS // max(n, 1))
-    scale = 1.0 / (n * bandwidth * _SQRT_2PI)
     for start in range(0, points.size, step):
         block = points[start : start + step, np.newaxis]
         z = (block - sample[np.newaxis, :]) / bandwidth
         out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * scale
+    return out
+
+
+def _fast_gauss_transform(
+    sample: np.ndarray, points: np.ndarray, bandwidth: float
+) -> np.ndarray:
+    """``sum_i exp(-((points - sample_i) / h)^2 / 2)`` by the Taylor FGT.
+
+    Only occupied boxes are stored, so memory is O(n * P) however far
+    apart the sample's clusters lie. Inputs must be finite and within
+    ``_FGT_MAX_REACH`` bandwidths of zero.
+    """
+    h = bandwidth
+    src_key = np.floor(sample / h)
+    boxes, src_box = np.unique(src_key, return_inverse=True)
+    s = (sample - (src_key + 0.5) * h) / h
+    # terms[i, k] = exp(-s_i^2 / 2) s_i^k / k!
+    terms = np.empty((sample.size, _FGT_ORDER))
+    terms[:, 0] = np.exp(-0.5 * s * s)
+    terms[:, 1:] = s[:, np.newaxis] / np.arange(1, _FGT_ORDER)
+    np.cumprod(terms, axis=1, out=terms)
+    # moments[k, b]; the extra zero column stands for every empty box.
+    n_boxes = boxes.size
+    moments = np.zeros((_FGT_ORDER, n_boxes + 1))
+    for k in range(_FGT_ORDER):
+        moments[k, :n_boxes] = np.bincount(
+            src_box, weights=terms[:, k], minlength=n_boxes
+        )
+
+    tgt_key = np.floor(points / h)
+    tgt_boxes, tgt_box = np.unique(tgt_key, return_inverse=True)
+    # lookup[j, d]: column of box tgt_boxes[j] + _FGT_OFFSETS[d] in moments.
+    near = tgt_boxes[:, np.newaxis] + _FGT_OFFSETS
+    lookup = np.minimum(np.searchsorted(boxes, near), n_boxes - 1)
+    lookup[boxes[lookup] != near] = n_boxes
+
+    out = np.empty(points.size)
+    for start in range(0, points.size, _FGT_BLOCK):
+        block = slice(start, start + _FGT_BLOCK)
+        col = lookup[tgt_box[block]]
+        key = tgt_key[block, np.newaxis] + _FGT_OFFSETS
+        t = (points[block, np.newaxis] - (key + 0.5) * h) / h
+        acc = moments[-1][col]
+        for k in range(_FGT_ORDER - 2, -1, -1):
+            acc *= t
+            acc += moments[k][col]
+        acc *= np.exp(-0.5 * t * t)
+        out[block] = acc.sum(axis=1)
     return out
 
 

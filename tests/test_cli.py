@@ -128,6 +128,17 @@ def test_short_row_is_a_data_error(tmp_path):
     assert "short.csv:2: row has 4 fields, header has 5" in proc.stderr
 
 
+def test_long_row_is_a_data_error(tmp_path):
+    long = tmp_path / "long.csv"
+    long.write_text("unit,time,y,x1,x2\na,1,1.0,2.0,3.0,99\n")
+    proc = run_cli("fit", "--data", str(long), *DATA_FLAGS,
+                   "--method", "pooled")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("panelspec: error:")
+    assert proc.stderr.count("\n") == 1
+    assert "long.csv:2: row has 6 fields, header has 5" in proc.stderr
+
+
 def test_internal_value_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")

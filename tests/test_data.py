@@ -86,6 +86,10 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="short.csv:3: row has 3 fields, "
                                           "header has 4"):
         load_long_csv(short, SCHEMA)
+    long = _write(tmp_path / "long.csv", ["A,1,1.0,0.5", "A,2,2.0,1.5,99"])
+    with pytest.raises(SchemaError, match="long.csv:3: row has 5 fields, "
+                                         "header has 4"):
+        load_long_csv(long, SCHEMA)
 
 
 def test_too_small_panels(tmp_path):

@@ -1,10 +1,11 @@
 """Kernel densities, Pearson residuals, weights, and the weighted fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -20,6 +21,7 @@ from panelspec import (
     smoothed_model_density,
     weight_function,
 )
+from panelspec import wle
 from panelspec.wle import HELLINGER, IDENTITY
 from panelspec.mcstudy import (
     ContaminationConfig,
@@ -30,6 +32,7 @@ from panelspec.mcstudy import (
     substream,
 )
 from panelspec.exceptions import (
+    ConfigurationError,
     DeltaOutOfRangeError,
     EmptySampleError,
     NonpositiveBandwidthError,
@@ -79,6 +82,94 @@ def test_kernel_density_chunking_consistency():
     direct = float(np.exp(-0.5 * z * z).sum() / (sample.size * 0.5 * math.sqrt(2 * math.pi)))
     assert got[1234] == pytest.approx(direct, rel=1e-13)
     assert np.all(got > 0.0)
+
+
+def _dense_density(sample, points, h):
+    z = (points[:, np.newaxis] - sample[np.newaxis, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (sample.size * h * math.sqrt(2 * math.pi))
+
+
+def _direct_path(monkeypatch):
+    """Make ``kernel_density_at`` take its dense loop at every size."""
+    monkeypatch.setattr(wle, "_FGT_MIN_CELLS", math.inf)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(min_value=20, max_value=700),
+    log10_h=st.floats(min_value=-3.0, max_value=1.0),
+    far=st.lists(st.floats(min_value=1.0, max_value=6.0), max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=60, log10_h=-0.3, far=[], seed=1)
+@example(n=700, log10_h=-0.3, far=[], seed=2)
+@example(n=700, log10_h=-3.0, far=[6.0, 1.0], seed=3)
+def test_kernel_density_matches_dense_sum(n, log10_h, far, seed):
+    # Points are the sample and a copy jittered by up to one bandwidth,
+    # so 2 n^2 cells cross the FGT cutoff (300^2) near n = 212. Far
+    # outliers sit 10^far bandwidths beyond the bulk, on either side.
+    rng = np.random.default_rng(seed)
+    h = 10.0**log10_h
+    sample = rng.standard_normal(n)
+    edge = np.abs(sample).max()
+    signs = rng.choice([-1.0, 1.0], size=len(far))
+    sample[: len(far)] = signs * (edge + h * 10.0 ** np.asarray(far))
+    points = np.concatenate([sample, sample + rng.uniform(-h, h, n)])
+    got = kernel_density_at(sample, points, h)
+    np.testing.assert_allclose(got, _dense_density(sample, points, h), rtol=1e-13)
+
+
+def test_kernel_density_far_outlier_stores_occupied_boxes(monkeypatch):
+    rng = np.random.default_rng(22)
+    sample = np.append(rng.standard_normal(3000), 1e12)
+    calls = []
+    fgt = wle._fast_gauss_transform
+
+    def spy(*args):
+        calls.append(args)
+        return fgt(*args)
+
+    monkeypatch.setattr(wle, "_fast_gauss_transform", spy)
+    tracemalloc.start()
+    try:
+        got = kernel_density_at(sample, sample, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1
+    # A box array spanning the gap would need 1e12 cells.
+    assert peak < 20e6
+    _direct_path(monkeypatch)
+    dense = kernel_density_at(sample, sample, 1.0)
+    np.testing.assert_allclose(got, dense, rtol=1e-13)
+    assert got[-1] == pytest.approx(1.0 / (3001 * math.sqrt(2 * math.pi)), rel=1e-15)
+
+
+def test_kernel_density_unboxable_inputs_take_dense_path(monkeypatch):
+    # Non-finite values, and values so many bandwidths from zero that box
+    # keys lose precision (1e16 here), give exactly the dense result.
+    rng = np.random.default_rng(23)
+    sample = rng.standard_normal(400)
+    points = sample.copy()
+    points[7] = np.inf
+    with_nan = sample.copy()
+    with_nan[3] = np.nan
+    distant = 1e6 + 1e-9 * sample
+    probe = (np.array([0.0, np.nan]), np.array([0.0, np.inf]), 0.5)
+    cases = [
+        (sample, points, 0.5),
+        (with_nan, sample, 0.5),
+        (distant, distant, 1e-10),
+        probe,
+    ]
+    got = [kernel_density_at(*case) for case in cases]
+    monkeypatch.setattr(wle, "_FGT_MIN_CELLS", 0)
+    forced = kernel_density_at(*probe)
+    _direct_path(monkeypatch)
+    for out, case in zip(got, cases):
+        assert np.array_equal(out, kernel_density_at(*case), equal_nan=True)
+    assert got[0][7] == 0.0 and np.all(np.isnan(got[1]))
+    assert np.all(np.isnan(got[3])) and np.all(np.isnan(forced))
 
 
 def test_kernel_density_errors():
@@ -214,6 +305,8 @@ def test_wle_config_validation():
         WleConfig(kappa=0.0)
     with pytest.raises(ValueError):
         WleConfig(max_iterations=0)
+    with pytest.raises(ConfigurationError):
+        WleConfig(max_iterations=2.5)
     with pytest.raises(ValueError):
         WleConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -298,6 +391,20 @@ def test_weighted_fit_scale_consistency():
         ratios.append(math.sqrt(wfe.sigma2_eps / fe.sigma2_eps))
     med = float(np.median(ratios))
     assert 0.9 <= med <= 1.1
+
+
+def test_weighted_fit_large_panel_matches_dense_kernel(monkeypatch):
+    ds = make_panel(2000, 4, 2, seed=40)
+    y = ds.y.copy()
+    y[:20, 1] += 15.0  # a few outliers, so the fit takes several steps
+    ds = PanelDataset(ds.unit_ids, ds.time_ids, y, ds.x)
+    fast = fit_weighted_fixed_effects(ds)
+    _direct_path(monkeypatch)
+    dense = fit_weighted_fixed_effects(ds)
+    assert fast.iterations == dense.iterations > 1
+    assert fast.converged and dense.converged
+    np.testing.assert_allclose(fast.beta, dense.beta, rtol=1e-12)
+    np.testing.assert_allclose(fast.weights, dense.weights, rtol=1e-12, atol=1e-15)
 
 
 def test_weighted_fit_non_convergence_reported():
