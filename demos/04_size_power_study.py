@@ -14,7 +14,6 @@ from panelspec.mcstudy import (
     DgpConfig,
     RANDOM_VERTICAL,
     run_study,
-    study_rows,
     study_to_csv,
 )
 
@@ -23,9 +22,9 @@ GAMMAS = (0.05, 0.10)
 
 def show(label, study):
     print(f"{label} (S={study.s_replications}, failures={study.failures})")
-    # study_rows gives the (test, level, rate) cells every CSV writer uses.
-    for kind, gamma, rate in study_rows(study):
-        print(f"  {kind:>17} at level {gamma}: rejects {float(rate):.3f}")
+    for kind, rates in sorted(study.rejection_rates.items()):
+        for gamma, rate in zip(study.gamma_grid, rates):
+            print(f"  {kind:>17} at level {gamma}: rejects {rate:.3f}")
 
 
 # Size: rejection under the null should sit near the nominal levels.
@@ -47,6 +46,7 @@ outliers = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
 dirty = run_study(dirty_dgp, outliers, s=200, gamma_grid=GAMMAS)
 show("\ncontaminated alternative", dirty)
 
-# Studies serialize to a flat CSV ready for plotting.
-print("\nCSV projection of the last study:")
-print(study_to_csv(dirty))
+# A study carries its design, so its report is the one
+# `panelspec simulate --format csv` writes, ready for plotting.
+print("\nCSV report of the last study:")
+print(study_to_csv([dirty]), end="")

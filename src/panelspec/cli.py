@@ -38,8 +38,8 @@ from .mcstudy import (
     ContaminationConfig,
     DgpConfig,
     run_study,
-    study_document,
-    study_rows,
+    study_to_csv,
+    study_to_json,
 )
 from .wle import HELLINGER, IDENTITY, WleConfig, fit_weighted_fixed_effects
 
@@ -329,126 +329,50 @@ def cmd_test(args: argparse.Namespace) -> int:
     return 0
 
 
-def _preset_runs(args: argparse.Namespace) -> list[dict]:
+def _designs(
+    args: argparse.Namespace,
+) -> list[tuple[DgpConfig, ContaminationConfig, Sequence[float]]]:
+    """The design and levels of each study ``simulate`` runs, in order."""
     fig = args.paper_figure
-    hypothesis = NULL if fig in (1, 4) else ALTERNATIVE
-    if fig in (1, 2):
-        return [
-            {
-                "hypothesis": hypothesis,
-                "n": n,
-                "t": 4,
-                "gammas": _CLEAN_GAMMAS,
-                "scheme": NO_CONTAMINATION,
-                "m": 0,
-            }
-            for n in _PRESET_N_GRID
-        ]
-    return [
-        {
-            "hypothesis": hypothesis,
-            "n": 100,
-            "t": 3,
-            "gammas": _CONTAMINATED_GAMMAS,
-            "scheme": scheme,
-            "m": m,
-        }
-        for scheme in (RANDOM_VERTICAL, CONCENTRATED_VERTICAL)
-        for m in (15, 30)
-    ]
-
-
-def _single_run(args: argparse.Namespace) -> list[dict]:
-    hypothesis = NULL if args.hypothesis == "null" else ALTERNATIVE
-    return [
-        {
-            "hypothesis": hypothesis,
-            "n": args.n,
-            "t": args.t,
-            "gammas": args.gammas,
-            "scheme": args.contamination,
-            "m": args.m,
-        }
-    ]
+    if fig is None:
+        hypothesis = NULL if args.hypothesis == "null" else ALTERNATIVE
+        grid = [(hypothesis, args.n, args.t, args.gammas,
+                 args.contamination, args.m)]
+    elif fig in (1, 2):
+        hypothesis = NULL if fig == 1 else ALTERNATIVE
+        grid = [(hypothesis, n, 4, _CLEAN_GAMMAS, NO_CONTAMINATION, 0)
+                for n in _PRESET_N_GRID]
+    else:
+        hypothesis = NULL if fig == 4 else ALTERNATIVE
+        grid = [(hypothesis, 100, 3, _CONTAMINATED_GAMMAS, scheme, m)
+                for scheme in (RANDOM_VERTICAL, CONCENTRATED_VERTICAL)
+                for m in (15, 30)]
+    designs = []
+    for hypothesis, n, t, gammas, scheme, m in grid:
+        dgp = DgpConfig(n_units=n, n_periods=t, beta=args.beta,
+                        hypothesis=hypothesis, tau=args.tau, seed=args.seed)
+        bounded = scheme != NO_CONTAMINATION
+        contamination = ContaminationConfig(
+            scheme=scheme,
+            n_outliers=m,
+            low=args.low if bounded else None,
+            high=args.high if bounded else None,
+        )
+        designs.append((dgp, contamination, gammas))
+    return designs
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run one or more studies and write the tabulated results."""
-    runs = _preset_runs(args) if args.paper_figure else _single_run(args)
+    """Run one or more studies and write their report."""
     wle_config = _wle_config(args)
-    docs = []
-    for run in runs:
-        dgp = DgpConfig(
-            n_units=run["n"],
-            n_periods=run["t"],
-            beta=args.beta,
-            hypothesis=run["hypothesis"],
-            tau=args.tau,
-            seed=args.seed,
-        )
-        contamination = ContaminationConfig(
-            scheme=run["scheme"],
-            n_outliers=run["m"],
-            low=args.low if run["scheme"] != NO_CONTAMINATION else None,
-            high=args.high if run["scheme"] != NO_CONTAMINATION else None,
-        )
-        study = run_study(
-            dgp,
-            contamination,
-            s=args.s,
-            gamma_grid=run["gammas"],
-            wle_config=wle_config,
-            n_threads=args.threads,
-        )
-        docs.append((run, contamination, study))
-
-    if args.format == "json":
-        _print(_simulate_json(args, docs), args.out)
-    else:
-        _print(_simulate_csv(docs), args.out)
+    studies = [
+        run_study(dgp, contamination, s=args.s, gamma_grid=gammas,
+                  wle_config=wle_config, n_threads=args.threads)
+        for dgp, contamination, gammas in _designs(args)
+    ]
+    render = study_to_json if args.format == "json" else study_to_csv
+    _print(render(studies), args.out)
     return 0
-
-
-def _simulate_json(args: argparse.Namespace, docs) -> str:
-    runs = []
-    for run, contamination, study in docs:
-        low, high = (
-            contamination.bounds()
-            if contamination.scheme != NO_CONTAMINATION
-            else (None, None)
-        )
-        runs.append(
-            {
-                "hypothesis": run["hypothesis"],
-                "n_units": run["n"],
-                "n_periods": run["t"],
-                "scheme": contamination.scheme,
-                "n_outliers": contamination.n_outliers,
-                "low": low,
-                "high": high,
-                "seed": args.seed,
-                "kappa": args.kappa,
-                **study_document(study),
-            }
-        )
-    return json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n"
-
-
-def _simulate_csv(docs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["test", "hypothesis", "n_units", "n_periods", "scheme", "m",
-         "gamma", "rejection_rate", "s", "failures"]
-    )
-    for run, contamination, study in docs:
-        for kind, gamma, rate in study_rows(study):
-            writer.writerow(
-                [kind, run["hypothesis"], run["n"], run["t"],
-                 contamination.scheme, contamination.n_outliers,
-                 gamma, rate, study.s_replications, study.failures]
-            )
-    return buf.getvalue()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

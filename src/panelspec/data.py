@@ -170,7 +170,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     Parameters
     ----------
     path : str or path-like
-        CSV file with a header row.
+        UTF-8 CSV file with a header row; a leading byte-order mark is
+        skipped.
     schema : ColumnSchema
         Which columns hold the unit id, time id, response, and
         regressors.
@@ -186,7 +187,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     ------
     SchemaError
         The file is not UTF-8 text, a schema column is missing from
-        the header, or a row has more or fewer fields than the header.
+        the header or appears in it twice, or a row has more or fewer
+        fields than the header.
     NonNumericValueError
         A response or regressor cell does not parse as a number.
     DuplicateCellError
@@ -203,7 +205,9 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
 
 
 def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports
+    # ("CSV UTF-8") put before the header.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -215,6 +219,12 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
             raise SchemaError(
                 f"{path}: columns {missing} not found in header {header}"
             )
+        for c in wanted:
+            fields = [i + 1 for i, h in enumerate(header) if h == c]
+            if len(fields) > 1:
+                raise SchemaError(
+                    f"{path}: column {c!r} repeats in header at fields {fields}"
+                )
         idx = {c: header.index(c) for c in wanted}
 
         cells: dict[tuple[str, str], tuple[float, list[float]]] = {}

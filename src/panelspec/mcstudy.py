@@ -4,8 +4,8 @@ Provides the data-generating process under both hypotheses (exogenous
 and correlated unit effects), the two vertical-outlier contamination
 schemes, ``run_study``, which runs both specification tests over many
 replications and tabulates rejection rates on a grid of nominal levels,
-and the renderings of a study that the library and the command line
-share.
+and the JSON and CSV reports of a list of studies, which the library
+and ``panelspec simulate`` write alike.
 
 Reproducibility contract: every replication draws from its own
 substream derived from ``(master seed, replication index)``, normal
@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,8 +64,6 @@ __all__ = [
     "contaminate_concentrated",
     "apply_contamination",
     "run_study",
-    "study_document",
-    "study_rows",
     "study_to_json",
     "study_to_csv",
 ]
@@ -83,6 +82,14 @@ _DEFAULT_BOUNDS = {
     RANDOM_VERTICAL: (10.0, 35.0),
     CONCENTRATED_VERTICAL: (17.0, 18.0),
 }
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer or is below ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {least}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,11 +125,9 @@ class DgpConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
-        if self.n_units < 2 or self.n_periods < 2:
-            raise ConfigurationError(
-                f"need N >= 2 and T >= 2, got N={self.n_units}, "
-                f"T={self.n_periods}"
-            )
+        _require_count("n_units", self.n_units, 2)
+        _require_count("n_periods", self.n_periods, 2)
+        _require_count("seed", self.seed, 0)
         if not self.beta:
             raise ConfigurationError("beta must be nonempty")
         if self.hypothesis not in (NULL, ALTERNATIVE):
@@ -130,10 +135,6 @@ class DgpConfig:
         if self.hypothesis == ALTERNATIVE and len(self.tau) != len(self.beta):
             raise ConfigurationError(
                 f"tau has length {len(self.tau)}, expected {len(self.beta)}"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be nonnegative, got {self.seed}"
             )
 
 
@@ -169,10 +170,7 @@ class ContaminationConfig:
             CONCENTRATED_VERTICAL,
         ):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.n_outliers < 0:
-            raise ConfigurationError(
-                f"n_outliers must be nonnegative, got {self.n_outliers}"
-            )
+        _require_count("n_outliers", self.n_outliers, 0)
         if self.scheme == NO_CONTAMINATION and self.n_outliers != 0:
             raise ConfigurationError("scheme 'none' cannot place outliers")
         if (self.low is None) != (self.high is None):
@@ -369,8 +367,8 @@ class StudyResult:
     failures : int
         Replications aborted by estimation errors; excluded from the
         rates' denominators.
-    df : int
-        Degrees of freedom of both tests (number of regressors).
+    dgp, contamination, wle_config
+        The design the study ran, which its report carries.
     """
 
     gamma_grid: tuple[float, ...]
@@ -378,7 +376,14 @@ class StudyResult:
     statistics: dict[str, np.ndarray] = field(repr=False)
     s_replications: int
     failures: int
-    df: int
+    dgp: DgpConfig
+    contamination: ContaminationConfig
+    wle_config: WleConfig
+
+    @property
+    def df(self) -> int:
+        """Degrees of freedom of both tests (number of regressors)."""
+        return len(self.dgp.beta)
 
 
 def _resolve_threads(n_threads: Optional[int]) -> int:
@@ -403,8 +408,8 @@ def _resolve_threads(n_threads: Optional[int]) -> int:
 
 def _replicate(
     dgp: DgpConfig,
-    contamination: Optional[ContaminationConfig],
-    wle_config: Optional[WleConfig],
+    contamination: ContaminationConfig,
+    wle_config: WleConfig,
     r: int,
 ):
     rng = substream(dgp.seed, r)
@@ -440,18 +445,21 @@ def run_study(
 
     Parameters
     ----------
+    contamination, wle_config : optional
+        None means no contamination and the default weighted fit; the
+        result records the configs that were used.
     n_threads : int, optional
         Worker threads, >= 1. None reads the PANELSPEC_THREADS
         environment variable: unset means serial and 0 means all cores.
         Results are identical for any value.
     """
-    if s < 1:
-        raise ConfigurationError(f"s must be >= 1, got {s}")
+    _require_count("s", s, 1)
     gammas = tuple(float(g) for g in gamma_grid)
     if not gammas or any(not (0.0 < g < 1.0) for g in gammas):
         raise ConfigurationError(f"levels must lie in (0, 1), got {gammas}")
-    if contamination is not None:
-        _require_capacity(contamination, dgp.n_units, dgp.n_periods)
+    contamination = contamination or ContaminationConfig()
+    wle_config = wle_config or WleConfig()
+    _require_capacity(contamination, dgp.n_units, dgp.n_periods)
     workers = _resolve_threads(n_threads)
 
     if workers == 1:
@@ -483,15 +491,31 @@ def run_study(
         statistics={HAUSMAN: h_stats, WEIGHTED_HAUSMAN: w_stats},
         s_replications=s,
         failures=failures,
-        df=len(dgp.beta),
+        dgp=dgp,
+        contamination=contamination,
+        wle_config=wle_config,
     )
 
 
-def study_document(result: StudyResult) -> dict:
-    """The JSON fields of a study: counts, levels and per-test results."""
+def _run_document(result: StudyResult) -> dict:
+    """One study's entry in the ``runs`` list: its design and results."""
+    dgp, cont = result.dgp, result.contamination
+    low, high = (
+        cont.bounds() if cont.scheme != NO_CONTAMINATION else (None, None)
+    )
+    # int() and float() let numpy scalars in a config reach the JSON.
     return {
-        "s_replications": result.s_replications,
-        "failures": result.failures,
+        "hypothesis": dgp.hypothesis,
+        "n_units": int(dgp.n_units),
+        "n_periods": int(dgp.n_periods),
+        "scheme": cont.scheme,
+        "n_outliers": int(cont.n_outliers),
+        "low": low,
+        "high": high,
+        "seed": int(dgp.seed),
+        "kappa": float(result.wle_config.kappa),
+        "s_replications": int(result.s_replications),
+        "failures": int(result.failures),
         "df": result.df,
         "gamma_grid": list(result.gamma_grid),
         "tests": {
@@ -508,29 +532,40 @@ def study_document(result: StudyResult) -> dict:
     }
 
 
-def study_rows(result: StudyResult) -> list[tuple[str, str, str]]:
-    """``(test, gamma, rejection_rate)`` CSV cells, one row per test and level.
+def study_to_json(results: Sequence[StudyResult]) -> str:
+    """The ``simulate`` JSON report: ``{"runs": [...]}``, one run per study.
 
-    Tests come in sorted order and levels in grid order; numbers are
-    written by ``repr`` so they read back exactly.
+    Keys are sorted, so the text is deterministic; it validates against
+    ``schemas/simulate_report.schema.json``, which needs at least one
+    run, so an empty ``results`` raises ``ConfigurationError``.
     """
-    return [
-        (kind, repr(gamma), repr(rate))
-        for kind in sorted(result.rejection_rates)
-        for gamma, rate in zip(result.gamma_grid, result.rejection_rates[kind])
-    ]
+    if not results:
+        raise ConfigurationError("a study report needs at least one study")
+    runs = [_run_document(result) for result in results]
+    return json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n"
 
 
-def study_to_json(result: StudyResult) -> str:
-    """Deterministic JSON rendering of a study."""
-    return json.dumps(study_document(result), indent=2, sort_keys=True)
+def study_to_csv(results: Sequence[StudyResult]) -> str:
+    """The ``simulate`` CSV report: one row per study, test and level.
 
-
-def study_to_csv(result: StudyResult) -> str:
-    """Flat CSV: one row per (test, gamma), fixed column order."""
+    Studies keep their order, tests come sorted and levels in grid
+    order; numbers are written by ``repr`` so they read back exactly.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["test", "gamma", "rejection_rate", "s", "failures"])
-    for row in study_rows(result):
-        writer.writerow([*row, result.s_replications, result.failures])
+    writer.writerow(
+        ["test", "hypothesis", "n_units", "n_periods", "scheme", "m",
+         "gamma", "rejection_rate", "s", "failures"]
+    )
+    for result in results:
+        dgp, cont = result.dgp, result.contamination
+        for kind in sorted(result.rejection_rates):
+            for gamma, rate in zip(
+                result.gamma_grid, result.rejection_rates[kind]
+            ):
+                writer.writerow(
+                    [kind, dgp.hypothesis, dgp.n_units, dgp.n_periods,
+                     cont.scheme, cont.n_outliers, repr(gamma), repr(rate),
+                     result.s_replications, result.failures]
+                )
     return buf.getvalue()

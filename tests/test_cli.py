@@ -2,6 +2,7 @@
 test patches the program in-process."""
 
 import importlib.resources as resources
+import importlib.util
 import json
 import os
 import pathlib
@@ -12,6 +13,14 @@ import jsonschema
 import pytest
 
 from panelspec import cli
+from panelspec.mcstudy import (
+    RANDOM_VERTICAL,
+    ContaminationConfig,
+    DgpConfig,
+    run_study,
+    study_to_csv,
+    study_to_json,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 DATA_FLAGS = ["--unit", "unit", "--time", "time", "--y", "y", "--x", "x1,x2"]
@@ -65,6 +74,31 @@ def test_fit_weighted_on_clean_fixture():
     assert all(w > 0.5 for row in doc["weights"] for w in row)
     assert len(doc["weights"]) == 50
     assert len(doc["weights"][0]) == 4
+
+
+def test_fit_reads_a_byte_order_mark(tmp_path):
+    original = FIXTURES / "fe_oracle.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert _fit("fe", bom) == _fit("fe", original)
+
+
+def test_fixture_generator_reproduces_committed_fixtures(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "fixture_generator", FIXTURES / "_generate.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.HERE = tmp_path
+    generator.main()
+    for name in ("fe_oracle.csv", "contaminated_alt.csv"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    got = json.loads((tmp_path / "fe_oracle_expected.json").read_text())
+    want = json.loads((FIXTURES / "fe_oracle_expected.json").read_text())
+    assert got.keys() == want.keys()
+    assert got.pop("recipe") == want.pop("recipe")
+    # numpy lstsq may differ in the last bits between BLAS builds.
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12)
 
 
 def test_fit_csv_projection():
@@ -228,6 +262,29 @@ def test_simulate_json_schema_and_determinism():
     assert run["s_replications"] == 3
     assert run["failures"] == 0
     assert sorted(run["tests"]) == ["hausman", "weighted_hausman"]
+
+
+@pytest.mark.parametrize("flags,dgp,contamination,gammas", [
+    (["--n", "25", "--t", "4", "--gammas", "0.05,0.10", "--seed", "5"],
+     DgpConfig(n_units=25, n_periods=4, seed=5), None, (0.05, 0.10)),
+    (["--n", "30", "--t", "3", "--seed", "6", "--contamination", "random",
+      "--m", "6", "--low", "4", "--high", "8"],
+     DgpConfig(n_units=30, n_periods=3, seed=6),
+     ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=6,
+                         low=4.0, high=8.0),
+     (0.05,)),
+], ids=["clean", "contaminated"])
+def test_library_and_cli_write_the_same_study(flags, dgp, contamination,
+                                              gammas):
+    study = run_study(dgp, contamination, s=3, gamma_grid=gammas)
+    report = study_to_json([study])
+    jsonschema.validate(instance=json.loads(report),
+                        schema=_schema("simulate_report.schema.json"))
+    for fmt, text in (("json", report), ("csv", study_to_csv([study]))):
+        proc = run_cli("simulate", *flags, "--s", "3", "--format", fmt,
+                       text=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == text.encode()
 
 
 def test_simulate_all_failed_is_strict_json():

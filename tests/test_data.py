@@ -90,6 +90,11 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="long.csv:3: row has 5 fields, "
                                          "header has 4"):
         load_long_csv(long, SCHEMA)
+    dup = _write(tmp_path / "dup.csv", ["A,1,1.0,0.5,0.7"],
+                 header="unit,time,y,x1,x1")
+    with pytest.raises(SchemaError, match=r"'x1' repeats in header at "
+                                          r"fields \[4, 5\]"):
+        load_long_csv(dup, SCHEMA)
 
 
 def test_too_small_panels(tmp_path):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from panelspec.exceptions import TooManyOutliersError
+from panelspec.exceptions import ConfigurationError, TooManyOutliersError
 from panelspec.inference import HAUSMAN, WEIGHTED_HAUSMAN
 from panelspec.mcstudy import (
     ALTERNATIVE,
@@ -25,6 +25,7 @@ from panelspec.mcstudy import (
     study_to_json,
     substream,
 )
+from panelspec.wle import WleConfig
 
 
 def test_substream_is_deterministic_and_disjoint():
@@ -123,6 +124,11 @@ def test_dgp_config_validation():
                   tau=(1.0,))
     with pytest.raises(ValueError):
         DgpConfig(n_units=10, n_periods=4, seed=-1)
+    for sizes in ({"n_units": 2.5, "n_periods": 4},
+                  {"n_units": 10, "n_periods": 2.5},
+                  {"n_units": 10, "n_periods": 4, "seed": 2.5}):
+        with pytest.raises(ConfigurationError):
+            DgpConfig(**sizes)
 
 
 def test_contamination_config_validation():
@@ -130,6 +136,8 @@ def test_contamination_config_validation():
         ContaminationConfig(scheme="diagonal")
     with pytest.raises(ValueError):
         ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=-1)
+    with pytest.raises(ConfigurationError):
+        ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=2.5)
     with pytest.raises(ValueError):
         ContaminationConfig(scheme=NO_CONTAMINATION, n_outliers=3)
     with pytest.raises(ValueError):
@@ -232,7 +240,7 @@ _SMALL_GRID = (0.05, 0.10, 0.20)
 def test_run_study_repeatable_and_tabulated():
     a = run_study(_SMALL_DGP, s=6, gamma_grid=_SMALL_GRID)
     b = run_study(_SMALL_DGP, s=6, gamma_grid=_SMALL_GRID)
-    assert study_to_json(a) == study_to_json(b)
+    assert study_to_json([a]) == study_to_json([b])
     assert a.failures == 0
     assert a.df == 2
     assert a.s_replications == 6
@@ -260,12 +268,14 @@ def test_run_study_reads_thread_environment(monkeypatch):
     via_env = run_study(_SMALL_DGP, s=4)
     monkeypatch.delenv("PANELSPEC_THREADS")
     serial = run_study(_SMALL_DGP, s=4)
-    assert study_to_json(via_env) == study_to_json(serial)
+    assert study_to_json([via_env]) == study_to_json([serial])
 
 
 def test_run_study_validation():
     with pytest.raises(ValueError):
         run_study(_SMALL_DGP, s=0)
+    with pytest.raises(ConfigurationError):
+        run_study(_SMALL_DGP, s=2.5)
     with pytest.raises(ValueError):
         run_study(_SMALL_DGP, s=4, gamma_grid=())
     with pytest.raises(ValueError):
@@ -279,25 +289,47 @@ def test_run_study_validation():
 
 
 def test_study_serializations_agree():
-    study = run_study(_SMALL_DGP, s=5, gamma_grid=(0.05, 0.10))
-    doc = json.loads(study_to_json(study))
-    assert doc["s_replications"] == 5
-    assert doc["failures"] == 0
-    assert doc["df"] == 2
-    assert doc["gamma_grid"] == [0.05, 0.10]
-    assert sorted(doc["tests"]) == [HAUSMAN, WEIGHTED_HAUSMAN]
+    clean = run_study(_SMALL_DGP, s=5, gamma_grid=(0.05, 0.10))
+    outliers = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=5)
+    dirty = run_study(_SMALL_DGP, outliers, s=4)
+    assert clean.contamination == ContaminationConfig()
+    assert clean.wle_config == WleConfig()
+    assert dirty.dgp == _SMALL_DGP and dirty.contamination == outliers
 
-    lines = study_to_csv(study).strip().split("\n")
-    assert lines[0] == "test,gamma,rejection_rate,s,failures"
-    assert len(lines) == 1 + 2 * 2
+    runs = json.loads(study_to_json([clean, dirty]))["runs"]
+    assert [run["scheme"] for run in runs] == [NO_CONTAMINATION, RANDOM_VERTICAL]
+    assert (runs[0]["low"], runs[0]["high"]) == (None, None)
+    assert (runs[1]["low"], runs[1]["high"]) == (10.0, 35.0)
+    assert [run["s_replications"] for run in runs] == [5, 4]
+    assert [run["gamma_grid"] for run in runs] == [[0.05, 0.10], [0.05]]
+    for run in runs:
+        assert (run["n_units"], run["n_periods"], run["seed"]) == (25, 4, 21)
+        assert run["df"] == 2
+        assert run["kappa"] == 0.5
+        assert sorted(run["tests"]) == [HAUSMAN, WEIGHTED_HAUSMAN]
+
+    lines = study_to_csv([clean, dirty]).strip().split("\n")
+    assert lines[0] == ("test,hypothesis,n_units,n_periods,scheme,m,"
+                        "gamma,rejection_rate,s,failures")
+    assert len(lines) == 1 + 2 * 2 + 2 * 1
     for line in lines[1:]:
-        kind, gamma, rate, s, failures = line.split(",")
-        assert kind in (HAUSMAN, WEIGHTED_HAUSMAN)
-        assert float(rate) == study.rejection_rates[kind][
-            study.gamma_grid.index(float(gamma))
-        ]
-        assert int(s) == 5
-        assert int(failures) == 0
+        kind, hyp, n, t, scheme, m, gamma, rate, s, failures = line.split(",")
+        run = runs[0] if scheme == NO_CONTAMINATION else runs[1]
+        level = run["gamma_grid"].index(float(gamma))
+        assert float(rate) == run["tests"][kind]["rejection_rates"][level]
+        assert (hyp, int(n), int(t), int(m), int(s), int(failures)) == (
+            run["hypothesis"], run["n_units"], run["n_periods"],
+            run["n_outliers"], run["s_replications"], run["failures"])
+
+    # Numpy integers are valid sizes and reach the JSON as plain ints.
+    numpy_sized = run_study(
+        DgpConfig(n_units=np.int64(25), n_periods=np.int64(4),
+                  seed=np.int64(21)),
+        s=np.int64(5), gamma_grid=(0.05, 0.10),
+    )
+    assert study_to_json([numpy_sized]) == study_to_json([clean])
+    with pytest.raises(ConfigurationError):
+        study_to_json([])
 
 
 def test_alternative_study_has_power():
