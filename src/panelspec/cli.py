@@ -90,22 +90,28 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_wle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kappa", type=float, default=0.5,
-        help="bandwidth fraction for the weighted fit (default 0.5)",
+        "--kappa", type=float, default=WleConfig.kappa,
+        help="bandwidth fraction for the weighted fit (default %(default)s)",
     )
     parser.add_argument(
-        "--max-iter", type=int, default=50,
-        help="iteration cap for the weighted fit (default 50)",
+        "--max-iter", type=int, default=WleConfig.max_iterations,
+        help="iteration cap for the weighted fit (default %(default)s)",
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-6,
-        help="relative convergence tolerance (default 1e-6)",
+        "--tol", type=float, default=WleConfig.tolerance,
+        help="relative convergence tolerance (default %(default)s)",
     )
     parser.add_argument(
-        "--raf", choices=[HELLINGER, IDENTITY], default=HELLINGER,
+        "--raf", choices=[HELLINGER, IDENTITY], default=WleConfig.raf,
         help="residual adjustment function; 'identity' is the "
-        "unweighted diagnostic (default hellinger)",
+        "unweighted diagnostic (default %(default)s)",
     )
+
+
+def _comma_default(values: Sequence[float]) -> str:
+    # argparse runs a string default through the flag's type, so the
+    # help shows the flag as typed and the parsed value is the tuple.
+    return ",".join(repr(v) for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,22 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower replacement bound")
     p_sim.add_argument("--high", type=float, default=None,
                        help="upper replacement bound")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
+    p_sim.add_argument("--seed", type=int, default=DgpConfig.seed,
+                       help="master seed (default %(default)s)")
     p_sim.add_argument(
-        "--beta", type=_comma_floats, default=(1.0, -1.5),
-        help="slope vector (default 1,-1.5)",
+        "--beta", type=_comma_floats, default=_comma_default(DgpConfig.beta),
+        help="slope vector (default %(default)s)",
     )
     p_sim.add_argument(
-        "--tau", type=_comma_floats, default=(1.0, 1.0),
-        help="correlation loadings under the alternative (default 1,1)",
+        "--tau", type=_comma_floats, default=_comma_default(DgpConfig.tau),
+        help="correlation loadings under the alternative "
+        "(default %(default)s)",
     )
     _add_wle_flags(p_sim)
-    p_sim.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads, >= 1; default reads PANELSPEC_THREADS "
-        "(unset = serial, 0 = all cores). Results are identical for any "
-        "value.",
-    )
     p_sim.add_argument(
         "--paper-figure", type=int, choices=[1, 2, 4, 5], default=None,
         help="preset study grid: 1 size vs N, 2 power vs N, "
@@ -367,7 +369,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     wle_config = _wle_config(args)
     studies = [
         run_study(dgp, contamination, s=args.s, gamma_grid=gammas,
-                  wle_config=wle_config, n_threads=args.threads)
+                  wle_config=wle_config)
         for dgp, contamination, gammas in _designs(args)
     ]
     render = study_to_json if args.format == "json" else study_to_csv

@@ -9,9 +9,9 @@ and ``panelspec simulate`` write alike.
 
 Reproducibility contract: every replication draws from its own
 substream derived from ``(master seed, replication index)``, normal
-variates are produced by the inverse CDF from 53-bit uniforms, and
-results are aggregated in replication order. Outputs are therefore
-byte-identical for a given seed regardless of the worker count.
+variates are produced by the inverse CDF from 53-bit uniforms, and the
+replications run one after another in replication order. Outputs are
+therefore byte-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import io
 import json
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -53,7 +51,6 @@ __all__ = [
     "NO_CONTAMINATION",
     "RANDOM_VERTICAL",
     "CONCENTRATED_VERTICAL",
-    "THREADS_ENV_VAR",
     "DgpConfig",
     "ContaminationConfig",
     "StudyResult",
@@ -75,9 +72,6 @@ NO_CONTAMINATION = "none"
 RANDOM_VERTICAL = "random"
 CONCENTRATED_VERTICAL = "concentrated"
 
-# Worker-count override: 0 or unset means auto, k >= 1 means exactly k.
-THREADS_ENV_VAR = "PANELSPEC_THREADS"
-
 _DEFAULT_BOUNDS = {
     RANDOM_VERTICAL: (10.0, 35.0),
     CONCENTRATED_VERTICAL: (17.0, 18.0),
@@ -90,6 +84,12 @@ def _require_count(name: str, value, least: int) -> None:
         raise ConfigurationError(
             f"{name} must be an integer >= {least}, got {value!r}"
         )
+
+
+def _require_finite(name: str, values: tuple[float, ...]) -> None:
+    """Reject a design value that is infinite or NaN."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigurationError(f"{name} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ class DgpConfig:
         _require_count("seed", self.seed, 0)
         if not self.beta:
             raise ConfigurationError("beta must be nonempty")
+        _require_finite("beta", self.beta)
+        _require_finite("tau", self.tau)
         if self.hypothesis not in (NULL, ALTERNATIVE):
             raise ConfigurationError(f"unknown hypothesis {self.hypothesis!r}")
         if self.hypothesis == ALTERNATIVE and len(self.tau) != len(self.beta):
@@ -175,10 +177,12 @@ class ContaminationConfig:
             raise ConfigurationError("scheme 'none' cannot place outliers")
         if (self.low is None) != (self.high is None):
             raise ConfigurationError("low and high must be given together")
-        if self.low is not None and not (self.low < self.high):
-            raise ConfigurationError(
-                f"need low < high, got [{self.low}, {self.high})"
-            )
+        if self.low is not None:
+            _require_finite("low and high", (self.low, self.high))
+            if not self.low < self.high:
+                raise ConfigurationError(
+                    f"need low < high, got [{self.low}, {self.high})"
+                )
 
     def bounds(self) -> tuple[float, float]:
         """Replacement-value bounds, falling back to scheme defaults."""
@@ -386,26 +390,6 @@ class StudyResult:
         return len(self.dgp.beta)
 
 
-def _resolve_threads(n_threads: Optional[int]) -> int:
-    if n_threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_threads = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-        if n_threads == 0:
-            return os.cpu_count() or 1
-    if n_threads < 1:
-        raise ConfigurationError(
-            f"thread count must be >= 1, got {n_threads}"
-        )
-    return n_threads
-
-
 def _replicate(
     dgp: DgpConfig,
     contamination: ContaminationConfig,
@@ -433,25 +417,21 @@ def run_study(
     s: int = 1000,
     gamma_grid: Sequence[float] = (0.05,),
     wle_config: Optional[WleConfig] = None,
-    n_threads: Optional[int] = None,
 ) -> StudyResult:
     """Run both specification tests over ``s`` replications.
 
-    Each replication generates a panel from ``dgp``'s substream
-    ``(seed, r)``, applies the contamination, fits the within, GLS,
-    and weighted estimators, and evaluates both tests. Replications
-    that abort with a package error count as failures and are excluded
-    from the rejection rates.
+    Replication ``r`` generates a panel from ``dgp``'s substream
+    ``(seed, r)``, applies the contamination with the same stream,
+    fits the within, GLS, and weighted estimators, and evaluates both
+    tests. The replications run serially in order ``r = 0, ..., s - 1``.
+    Replications that abort with a package error count as failures and
+    are excluded from the rejection rates.
 
     Parameters
     ----------
     contamination, wle_config : optional
         None means no contamination and the default weighted fit; the
         result records the configs that were used.
-    n_threads : int, optional
-        Worker threads, >= 1. None reads the PANELSPEC_THREADS
-        environment variable: unset means serial and 0 means all cores.
-        Results are identical for any value.
     """
     _require_count("s", s, 1)
     gammas = tuple(float(g) for g in gamma_grid)
@@ -460,19 +440,8 @@ def run_study(
     contamination = contamination or ContaminationConfig()
     wle_config = wle_config or WleConfig()
     _require_capacity(contamination, dgp.n_units, dgp.n_periods)
-    workers = _resolve_threads(n_threads)
 
-    if workers == 1:
-        raw = [_replicate(dgp, contamination, wle_config, r) for r in range(s)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(
-                pool.map(
-                    lambda r: _replicate(dgp, contamination, wle_config, r),
-                    range(s),
-                )
-            )
-
+    raw = [_replicate(dgp, contamination, wle_config, r) for r in range(s)]
     kept = [row for row in raw if row is not None]
     failures = s - len(kept)
     h_stats = np.array([row[0] for row in kept])

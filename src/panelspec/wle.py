@@ -137,8 +137,10 @@ class WleConfig:
                 f"max_iterations must be an integer >= 1, "
                 f"got {self.max_iterations!r}"
             )
-        if not (self.tolerance > 0.0):
-            raise ConfigurationError("tolerance must be positive")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ConfigurationError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
         if self.raf not in (HELLINGER, IDENTITY):
             raise ConfigurationError(f"unknown raf {self.raf!r}")
 
@@ -330,13 +332,15 @@ def pearson_residuals(
     f_star = kernel_density_at(residuals, residuals, h)
     m_star = smoothed_model_density(residuals, sigma_nu, h)
     # m* underflows only for residuals dozens of scales out; treat the
-    # ratio as infinite surprise there rather than dividing by zero.
-    ratio = np.divide(
-        f_star,
-        m_star,
-        out=np.full_like(f_star, np.inf),
-        where=m_star > 0.0,
-    )
+    # ratio as infinite surprise there rather than dividing by zero, and
+    # let a subnormal m* overflow the ratio to inf the same way.
+    with np.errstate(over="ignore"):
+        ratio = np.divide(
+            f_star,
+            m_star,
+            out=np.full_like(f_star, np.inf),
+            where=m_star > 0.0,
+        )
     return ratio - 1.0
 
 

@@ -4,7 +4,6 @@ test patches the program in-process."""
 import importlib.resources as resources
 import importlib.util
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -21,19 +20,16 @@ from panelspec.mcstudy import (
     study_to_csv,
     study_to_json,
 )
+from panelspec.wle import WleConfig
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 DATA_FLAGS = ["--unit", "unit", "--time", "time", "--y", "y", "--x", "x1,x2"]
 
 
-def run_cli(*args, env_extra=None, text=True):
-    env = dict(os.environ)
-    env.pop("PANELSPEC_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, text=True):
     return subprocess.run(
         [sys.executable, "-m", "panelspec", *args],
-        capture_output=True, text=text, env=env,
+        capture_output=True, text=text,
     )
 
 
@@ -138,14 +134,28 @@ def test_seed_is_a_simulate_flag_only(command):
     assert cli.build_parser().parse_args(["simulate", "--seed", "3"]).seed == 3
 
 
-@pytest.mark.parametrize("args, env", [
-    (["simulate", "--s", "0"], None),
-    (["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
-      "--method", "wfe", "--max-iter", "0"], None),
-    (["simulate", "--n", "25", "--s", "2"], {"PANELSPEC_THREADS": "abc"}),
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "d.csv", *DATA_FLAGS, "--method", "wfe"],
+    ["test", "--data", "d.csv", *DATA_FLAGS],
+    ["simulate"],
 ])
-def test_configuration_errors_exit_1(args, env):
-    proc = run_cli(*args, env_extra=env)
+def test_flag_defaults_are_the_config_defaults(command):
+    args = cli.build_parser().parse_args(command)
+    assert cli._wle_config(args) == WleConfig()
+    if command[0] == "simulate":
+        dgp = DgpConfig(n_units=2, n_periods=2)
+        assert (args.beta, args.tau, args.seed) == (dgp.beta, dgp.tau,
+                                                    dgp.seed)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--s", "0"],
+    ["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
+     "--method", "wfe", "--max-iter", "0"],
+    ["simulate", "--n", "25", "--s", "2", "--beta", "nan,1"],
+])
+def test_configuration_errors_exit_1(args):
+    proc = run_cli(*args)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("panelspec: error:")
@@ -303,13 +313,6 @@ def test_simulate_all_failed_is_strict_json():
     for test in run["tests"].values():
         assert test["rejection_rates"] == [None]
         assert test["statistics"] == []
-
-
-def test_simulate_insensitive_to_thread_count():
-    serial = run_cli(*_SIM_ARGS, text=False)
-    threaded = run_cli(*_SIM_ARGS, text=False,
-                       env_extra={"PANELSPEC_THREADS": "3"})
-    assert serial.stdout == threaded.stdout
 
 
 def test_simulate_preset_grid_csv_shape():

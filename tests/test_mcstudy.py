@@ -1,13 +1,24 @@
 """Data generation, contamination, and study-driver behavior."""
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from panelspec.exceptions import ConfigurationError, TooManyOutliersError
-from panelspec.inference import HAUSMAN, WEIGHTED_HAUSMAN
+from panelspec.estimators import fit_fixed_effects, fit_random_effects
+from panelspec.exceptions import (
+    ConfigurationError,
+    PanelSpecError,
+    TooManyOutliersError,
+)
+from panelspec.inference import (
+    HAUSMAN,
+    WEIGHTED_HAUSMAN,
+    hausman_test,
+    weighted_hausman_test,
+)
 from panelspec.mcstudy import (
     ALTERNATIVE,
     CONCENTRATED_VERTICAL,
@@ -25,7 +36,7 @@ from panelspec.mcstudy import (
     study_to_json,
     substream,
 )
-from panelspec.wle import WleConfig
+from panelspec.wle import WleConfig, fit_weighted_fixed_effects
 
 
 def test_substream_is_deterministic_and_disjoint():
@@ -124,6 +135,11 @@ def test_dgp_config_validation():
                   tau=(1.0,))
     with pytest.raises(ValueError):
         DgpConfig(n_units=10, n_periods=4, seed=-1)
+    for values in ({"beta": (math.nan, 1.0)}, {"beta": (1.0, math.inf)},
+                   {"tau": (math.inf, 1.0), "hypothesis": ALTERNATIVE},
+                   {"tau": (1.0, math.nan)}):
+        with pytest.raises(ConfigurationError):
+            DgpConfig(n_units=10, n_periods=4, **values)
     for sizes in ({"n_units": 2.5, "n_periods": 4},
                   {"n_units": 10, "n_periods": 2.5},
                   {"n_units": 10, "n_periods": 4, "seed": 2.5}):
@@ -145,6 +161,11 @@ def test_contamination_config_validation():
     with pytest.raises(ValueError):
         ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=1,
                             low=5.0, high=5.0)
+    for low, high in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0),
+                      (0.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=1,
+                                low=low, high=high)
     assert ContaminationConfig(
         scheme=RANDOM_VERTICAL, n_outliers=1
     ).bounds() == (10.0, 35.0)
@@ -254,21 +275,32 @@ def test_run_study_repeatable_and_tabulated():
         assert np.all(a.statistics[kind] >= 0.0)
 
 
-def test_run_study_thread_count_does_not_change_results():
-    serial = run_study(_SMALL_DGP, s=6, gamma_grid=_SMALL_GRID, n_threads=1)
-    threaded = run_study(_SMALL_DGP, s=6, gamma_grid=_SMALL_GRID, n_threads=3)
-    for kind in (HAUSMAN, WEIGHTED_HAUSMAN):
-        assert np.array_equal(serial.statistics[kind],
-                              threaded.statistics[kind])
-    assert serial.rejection_rates == threaded.rejection_rates
-
-
-def test_run_study_reads_thread_environment(monkeypatch):
-    monkeypatch.setenv("PANELSPEC_THREADS", "2")
-    via_env = run_study(_SMALL_DGP, s=4)
-    monkeypatch.delenv("PANELSPEC_THREADS")
-    serial = run_study(_SMALL_DGP, s=4)
-    assert study_to_json([via_env]) == study_to_json([serial])
+@pytest.mark.parametrize("n_units, outliers", [
+    (50, ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=12)),
+    # N = K + 1 leaves the variance components no degrees of freedom.
+    (3, ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=2)),
+], ids=["contaminated", "all_failed"])
+def test_run_study_matches_per_replication_pipeline(n_units, outliers):
+    # Replication r is the public pipeline on substream (seed, r); a
+    # package error drops it from the statistics and counts a failure.
+    dgp = DgpConfig(n_units=n_units, n_periods=3, seed=23)
+    study = run_study(dgp, outliers, s=6)
+    rows, failures = [], 0
+    for r in range(6):
+        rng = substream(dgp.seed, r)
+        try:
+            ds = apply_contamination(generate(dgp, rng), outliers, rng)
+            fe = fit_fixed_effects(ds)
+            re = fit_random_effects(ds)
+            wfe = fit_weighted_fixed_effects(ds)
+            rows.append((hausman_test(fe, re).statistic,
+                         weighted_hausman_test(wfe, re).statistic))
+        except PanelSpecError:
+            failures += 1
+    assert study.failures == failures
+    for kind, column in ((HAUSMAN, 0), (WEIGHTED_HAUSMAN, 1)):
+        expected = np.array([row[column] for row in rows])
+        assert np.array_equal(study.statistics[kind], expected)
 
 
 def test_run_study_validation():
@@ -280,8 +312,6 @@ def test_run_study_validation():
         run_study(_SMALL_DGP, s=4, gamma_grid=())
     with pytest.raises(ValueError):
         run_study(_SMALL_DGP, s=4, gamma_grid=(0.05, 1.0))
-    with pytest.raises(ValueError):
-        run_study(_SMALL_DGP, s=4, n_threads=0)
     over = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=101)
     tiny = DgpConfig(n_units=25, n_periods=4, seed=21)
     with pytest.raises(TooManyOutliersError):

@@ -226,6 +226,16 @@ def test_pearson_residuals_far_outlier():
     assert delta[-1] > 1e3
 
 
+@pytest.mark.parametrize("far", [42.4, 44.0])
+def test_pearson_residuals_beyond_the_model_density(far):
+    # At 42.4 scales m* is subnormal and the ratio overflows; at 44 m*
+    # underflows to zero. Both are infinite surprise, without a warning.
+    rng = np.random.default_rng(22)
+    residuals = np.append(rng.normal(size=500), far)
+    delta = pearson_residuals(residuals, 1.0, WleConfig(kappa=0.5))
+    assert delta[-1] == np.inf
+
+
 def test_pearson_residuals_degenerate_sample():
     with pytest.raises(EmptySampleError):
         pearson_residuals(np.array([1.0]), 1.0)
@@ -307,8 +317,9 @@ def test_wle_config_validation():
         WleConfig(max_iterations=0)
     with pytest.raises(ConfigurationError):
         WleConfig(max_iterations=2.5)
-    with pytest.raises(ValueError):
-        WleConfig(tolerance=0.0)
+    for tolerance in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            WleConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         WleConfig(raf="bogus")
 
