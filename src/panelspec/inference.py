@@ -90,14 +90,14 @@ def chi_square_sf(x: float, df: int) -> float:
     NegativeArgumentError
         ``x < 0`` or not finite.
     ConfigurationError
-        ``df`` is not a positive integer.
+        ``df`` is not a positive integer (NaN and infinity included).
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise NegativeArgumentError(
             f"statistic must be finite and nonnegative, got {x}"
         )
-    if int(df) != df or df < 1:
+    if not math.isfinite(df) or int(df) != df or df < 1:
         raise ConfigurationError(f"df must be a positive integer, got {df}")
     return float(gammaincc(df / 2.0, x / 2.0))
 

@@ -63,41 +63,80 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # over evaluation points, which leaves every per-point sum unchanged.
 _CHUNK_CELLS = 4_000_000
 
-# Fast Gauss transform (Greengard & Strain 1991; Yang, Duraiswami & Gumerov
-# 2003), in kernel units z = x / h. Sources fall in boxes of width one; box
-# b, centred at c_b = b + 1/2, keeps the moments
-#     M_bk = sum_i exp(-s_i^2 / 2) s_i^k / k!,   s_i = z_i - c_b,
-# and a target at t = y - c_b reads it as
-#     sum_i exp(-(t - s_i)^2 / 2) ~= exp(-t^2 / 2) sum_{k<P} M_bk t^k,
-# from exp(-(t - s)^2/2) = exp(-t^2/2) exp(-s^2/2) e^{ts}. Each target sums
-# the boxes within R of its own, so |s| <= 1/2 and |t| <= R + 1/2, each
-# widened by 2^-8 for the rounding of keys and centres below
-# _FGT_MAX_REACH. Per source, in units of the kernel's peak, the Taylor
-# remainder is at most exp(-(t^2 + s^2)/2) |ts|^P / P! max(1, e^{ts}),
-# whose maximum over that range (at t ~ 5.4) is 3.1e-21 for P = 26; a
-# source beyond the reach lies more than R - 2^-8 away and adds at most
-# exp(-(R - 2^-8)^2 / 2) = 2.0e-22 for R = 10. The absolute error is thus
-# below n * 3.1e-21 peaks. At a sample point the dense sum is at least one
+# Fast Gauss transform (Greengard & Strain 1991) with source-to-target
+# translation, in kernel units z = x / h. Values fall in boxes of width one;
+# box b is centred at c_b = b + 1/2, and s = z - c_b is a value's offset from
+# its box centre. A target at offset u in box j lies D + u - s from a source
+# in box b, with D = j - b an exact integer, and the Taylor expansion of
+# g(x) = exp(-x^2 / 2) about D,
+#     g(D + u - s) ~= sum_{k+l<P} g^(k+l)(D) u^k (-s)^l / (k! l!),
+# separates the two offsets. So each source box keeps the moments
+#     M_bl = sum_{i in b} s_i^l,   l < P,
+# each target box j gets one local expansion of P terms,
+#     L_jk = sum_D sum_l T_D[l, k] M_{j-D, l},
+#     T_D[l, k] = g^(k+l)(D) (-1)^l / (k! l!)   (zero for k + l >= P),
+# and a target costs P terms: sum_k L_jk u^k. Here g^(n)(D) =
+# (-1)^n He_n(D) exp(-D^2 / 2), and D runs over the 2R + 1 integers in
+# [-R, R], so the T_D are one table built at import. Error: floor(z) may
+# round across a box edge, so |s| and |u| are at most 1/2 + 2^-8 below
+# _FGT_MAX_REACH and |u - s| <= 1 + 2^-7. Cramer's inequality,
+# |He_n(x)| exp(-x^2 / 4) <= 1.0865 sqrt(n!), bounds the Taylor remainder
+# g^(P)(xi) (u - s)^P / P! per source, in units of the kernel's peak, by
+# 1.0865 (1 + 2^-7)^P / sqrt(P!) = 2.4e-21 for P = 36; a source beyond the
+# reach lies more than R - 2^-7 away and adds at most
+# exp(-(R - 2^-7)^2 / 2) = 2.1e-22 for R = 10. The absolute error is thus
+# below n * 2.4e-21 peaks. At a sample point the dense sum is at least one
 # peak (the point's own term), so there the error is below 1e-13 relative
 # for n up to 3e7; rounding adds the few ulps per term that the dense sum
-# also carries.
-_FGT_ORDER = 26
+# also carries. The offsets must be as accurate as the dense sum's
+# differences (y - x) / h: a box centre rounded to fl(c_b h) would leave an
+# error of order |z| ulps that D, being exact, does not cancel, so each
+# centre is carried as an exact sum hi + lo (a Dekker product per box).
+_FGT_ORDER = 36
 _FGT_RADIUS = 10
 _FGT_OFFSETS = np.arange(-_FGT_RADIUS, _FGT_RADIUS + 1, dtype=float)
-# Beyond 2^44 bandwidths from zero, box keys and centres lose the precision
-# the bound above assumes; such samples take the dense path.
+# Beyond 2^44 bandwidths from zero, box keys lose the precision the bound
+# above assumes; such samples take the dense path.
 _FGT_MAX_REACH = 2.0**44
-# Size (sample x points) from which the FGT runs: the smallest n = m where
-# it beat the dense loop by more than the repeat-to-repeat spread. Timed
-# with points = sample, h = 0.5, one BLAS thread, on a 2-core x86-64 host:
-# the dense loop is 4-6x faster at n = 100-150; at n = 200-275 the two
-# differ by less than the spread in at least one run; from
-# n = 300 the FGT wins beyond the spread in every run (0.61-0.66 against
-# 0.95-1.05 ms), 4x at n = 800 and 13x at n = 2000.
-_FGT_MIN_CELLS = 300 * 300
-# Targets per evaluation block: keeps each (targets x offsets) scratch array
-# near 170 kB, in cache.
+# Size (sample x points) from which the FGT runs. Timed with points =
+# sample, h = 0.5, one BLAS thread, on a 2-core x86-64 host, alternating the
+# two paths, on a standard normal sample and on one with 5% outliers at
+# 10-35: from n = 200 the FGT was never slower than the dense loop by more
+# than the repeat-to-repeat spread, and 2.4-2.9x faster on the normal
+# sample; at n = 175 it lost on the sample with outliers, and at n = 100-150
+# the dense loop is 1.4-2.8x faster.
+_FGT_MIN_CELLS = 200 * 200
+# Targets per evaluation block: keeps each (P x targets) scratch array near
+# 300 kB, in cache.
 _FGT_BLOCK = 1024
+# Target boxes per translation product: each (boxes x P) by (P x P) product
+# then stays below OpenBLAS's threading threshold (m n k <= 65536 * 4), so
+# that the result does not depend on the number of BLAS threads.
+_FGT_BOX_BLOCK = 128
+
+
+def _fgt_translations() -> np.ndarray:
+    """The translation table ``T[D + R, l, k]`` of the comment above."""
+    order, radius = _FGT_ORDER, _FGT_RADIUS
+    # derivs[D + R, n] = g^(n)(D) = (-1)^n He_n(D) exp(-D^2 / 2); He_n(D) is
+    # an integer for integer D, so the recurrence runs exactly.
+    derivs = np.empty((2 * radius + 1, order))
+    for row, d in enumerate(range(-radius, radius + 1)):
+        he_prev, he = 0, 1
+        for n in range(order):
+            derivs[row, n] = (-1) ** n * he
+            he_prev, he = he, d * he - n * he_prev
+    derivs *= np.exp(-0.5 * _FGT_OFFSETS**2)[:, np.newaxis]
+    inv_fact = np.array([1 / math.factorial(j) for j in range(order)])
+    table = np.zeros((2 * radius + 1, order, order))
+    for l in range(order):
+        table[:, l, : order - l] = (
+            derivs[:, l:] * ((-1) ** l * inv_fact[l]) * inv_fact[: order - l]
+        )
+    return table
+
+
+_FGT_TRANSLATIONS = _fgt_translations()
 
 
 @dataclass(frozen=True)
@@ -192,16 +231,20 @@ def kernel_density_at(
     non-finite or lies more than ``2**44`` bandwidths from zero, each
     value is a direct sum over the entire sample, chunked over the
     evaluation points without changing any per-point sum. Larger jobs
-    use a fast Gauss transform (Greengard & Strain 1991; Yang,
-    Duraiswami & Gumerov 2003) in time linear in n + m, with P = 26 Taylor
-    terms and a reach of 10 bandwidths: its absolute error is below
-    ``n * 3.1e-21`` kernel peaks, which is 1e-13 relative to the direct
-    sum at any sample point for n up to 3e7. Points more than 10
-    bandwidths from every sample value, where the density is below
-    ``exp(-50)`` of a peak, get no such relative guarantee.
+    use a fast Gauss transform (Greengard & Strain 1991) in time linear
+    in n + m: source moments of P = 36 terms per box of one bandwidth,
+    translated to one local expansion per target box from the boxes
+    within 10 bandwidths. Its absolute error is below ``n * 2.4e-21``
+    kernel peaks, which is 1e-13 relative to the direct sum at any
+    sample point for n up to 3e7. Points more than 10 bandwidths from
+    every sample value, where the density is below ``exp(-50)`` of a
+    peak, get no such relative guarantee. Passing the same array as
+    ``sample`` and ``points`` sorts and boxes it once; the result is the
+    same as for a copy.
     """
+    same = points is sample
     sample = np.asarray(sample, dtype=float).ravel()
-    points = np.asarray(points, dtype=float).ravel()
+    points = sample if same else np.asarray(points, dtype=float).ravel()
     if sample.size == 0:
         raise EmptySampleError("kernel density needs a nonempty sample")
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
@@ -223,51 +266,98 @@ def kernel_density_at(
     return out
 
 
+def _split(a):
+    """Veltkamp's split ``a = hi + lo``, each part of at most 26 bits."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _fgt_boxes(values: np.ndarray, h: float) -> tuple:
+    """Sort ``values`` into the transform's boxes of width ``h``.
+
+    Returns ``(order, keys, starts, box, powers)``: the sorting
+    permutation; the occupied boxes' keys ``floor(value / h)``, in
+    increasing order; where each box starts in sorted order; the box of
+    each sorted value; and ``powers[l, i] = s_i^l``, ``l < P``, for the
+    offset ``s_i`` of the i-th sorted value from its box centre, in
+    kernel units.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    key = np.floor(ordered / h)
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    box = np.cumsum(first) - 1
+    keys = key[starts]
+    # Dekker's exact product (keys + 1/2) * h = hi + lo, taken on the
+    # mantissa of h so that the split cannot overflow.
+    mantissa, exponent = math.frexp(h)
+    centre = keys + 0.5
+    hi = centre * mantissa
+    c_hi, c_lo = _split(centre)
+    m_hi, m_lo = _split(mantissa)
+    lo = ((c_hi * m_hi - hi) + c_hi * m_lo + c_lo * m_hi) + c_lo * m_lo
+    powers = np.empty((_FGT_ORDER, values.size))
+    powers[0] = 1.0
+    offset = powers[1]
+    np.subtract(ordered, np.ldexp(hi, exponent)[box], out=offset)
+    offset -= np.ldexp(lo, exponent)[box]
+    offset /= h
+    # Rows [done, 2 * done) are rows [0, done) times s^done.
+    done = 2
+    while done < _FGT_ORDER:
+        width = min(done, _FGT_ORDER - done)
+        np.multiply(
+            powers[:width],
+            powers[done - 1] * offset,
+            out=powers[done : done + width],
+        )
+        done += width
+    return order, keys, starts, box, powers
+
+
 def _fast_gauss_transform(
     sample: np.ndarray, points: np.ndarray, bandwidth: float
 ) -> np.ndarray:
-    """``sum_i exp(-((points - sample_i) / h)^2 / 2)`` by the Taylor FGT.
+    """``sum_i exp(-((points - sample_i) / h)^2 / 2)`` by the translated FGT.
 
-    Only occupied boxes are stored, so memory is O(n * P) however far
-    apart the sample's clusters lie. Inputs must be finite and within
-    ``_FGT_MAX_REACH`` bandwidths of zero.
+    Only occupied boxes are stored, so memory is O((n + m) P) however far
+    apart the sample's clusters lie. When ``points is sample`` the sort,
+    the boxes and the powers serve both sides. Inputs must be finite and
+    within ``_FGT_MAX_REACH`` bandwidths of zero.
     """
-    h = bandwidth
-    src_key = np.floor(sample / h)
-    boxes, src_box = np.unique(src_key, return_inverse=True)
-    s = (sample - (src_key + 0.5) * h) / h
-    # terms[i, k] = exp(-s_i^2 / 2) s_i^k / k!
-    terms = np.empty((sample.size, _FGT_ORDER))
-    terms[:, 0] = np.exp(-0.5 * s * s)
-    terms[:, 1:] = s[:, np.newaxis] / np.arange(1, _FGT_ORDER)
-    np.cumprod(terms, axis=1, out=terms)
-    # moments[k, b]; the extra zero column stands for every empty box.
-    n_boxes = boxes.size
-    moments = np.zeros((_FGT_ORDER, n_boxes + 1))
-    for k in range(_FGT_ORDER):
-        moments[k, :n_boxes] = np.bincount(
-            src_box, weights=terms[:, k], minlength=n_boxes
-        )
+    source = _fgt_boxes(sample, bandwidth)
+    target = source if points is sample else _fgt_boxes(points, bandwidth)
+    _, src_keys, src_starts, _, src_powers = source
+    order, tgt_keys, _, tgt_box, tgt_powers = target
+    # moments[b, l]; the extra zero row stands for every empty box.
+    n_boxes = src_keys.size
+    moments = np.zeros((n_boxes + 1, _FGT_ORDER))
+    moments[:n_boxes] = np.add.reduceat(src_powers, src_starts, axis=1).T
+    # lookup[j, d]: row of box tgt_keys[j] - _FGT_OFFSETS[d] in moments.
+    near = tgt_keys[:, np.newaxis] - _FGT_OFFSETS
+    lookup = np.minimum(np.searchsorted(src_keys, near), n_boxes - 1)
+    lookup[src_keys[lookup] != near] = n_boxes
 
-    tgt_key = np.floor(points / h)
-    tgt_boxes, tgt_box = np.unique(tgt_key, return_inverse=True)
-    # lookup[j, d]: column of box tgt_boxes[j] + _FGT_OFFSETS[d] in moments.
-    near = tgt_boxes[:, np.newaxis] + _FGT_OFFSETS
-    lookup = np.minimum(np.searchsorted(boxes, near), n_boxes - 1)
-    lookup[boxes[lookup] != near] = n_boxes
+    # local[j]: the local expansion of target box j, one product per
+    # offset D, summed over D in a fixed order; transposed for the gathers.
+    local = np.empty((tgt_keys.size, _FGT_ORDER))
+    for start in range(0, tgt_keys.size, _FGT_BOX_BLOCK):
+        rows = lookup[start : start + _FGT_BOX_BLOCK].T
+        local[start : start + _FGT_BOX_BLOCK] = np.matmul(
+            moments[rows], _FGT_TRANSLATIONS
+        ).sum(axis=0)
+    local = np.ascontiguousarray(local.T)
 
     out = np.empty(points.size)
     for start in range(0, points.size, _FGT_BLOCK):
         block = slice(start, start + _FGT_BLOCK)
-        col = lookup[tgt_box[block]]
-        key = tgt_key[block, np.newaxis] + _FGT_OFFSETS
-        t = (points[block, np.newaxis] - (key + 0.5) * h) / h
-        acc = moments[-1][col]
-        for k in range(_FGT_ORDER - 2, -1, -1):
-            acc *= t
-            acc += moments[k][col]
-        acc *= np.exp(-0.5 * t * t)
-        out[block] = acc.sum(axis=1)
+        out[order[block]] = np.einsum(
+            "kj,kj->j", local[:, tgt_box[block]], tgt_powers[:, block]
+        )
     return out
 
 

@@ -1,6 +1,11 @@
 """Kernel densities, Pearson residuals, weights, and the weighted fit."""
 
+import inspect
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -106,7 +111,7 @@ def _direct_path(monkeypatch):
 @example(n=700, log10_h=-3.0, far=[6.0, 1.0], seed=3)
 def test_kernel_density_matches_dense_sum(n, log10_h, far, seed):
     # Points are the sample and a copy jittered by up to one bandwidth,
-    # so 2 n^2 cells cross the FGT cutoff (300^2) near n = 212. Far
+    # so 2 n^2 cells cross the FGT cutoff (200^2) near n = 142. Far
     # outliers sit 10^far bandwidths beyond the bulk, on either side.
     rng = np.random.default_rng(seed)
     h = 10.0**log10_h
@@ -170,6 +175,48 @@ def test_kernel_density_unboxable_inputs_take_dense_path(monkeypatch):
         assert np.array_equal(out, kernel_density_at(*case), equal_nan=True)
     assert got[0][7] == 0.0 and np.all(np.isnan(got[1]))
     assert np.all(np.isnan(got[3])) and np.all(np.isnan(forced))
+
+
+def _many_boxes(n, seed):
+    """5% outliers at 10-35 on either side of a standard normal bulk, so
+    that at h = 0.5 the sample fills dozens of boxes."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(n)
+    k = n // 20
+    r[:k] = rng.uniform(10.0, 35.0, k) * rng.choice([-1.0, 1.0], k)
+    return r
+
+
+@pytest.mark.parametrize("n, fgt_side", [(100, False), (2000, True)])
+def test_kernel_density_same_array_reuse_changes_no_bit(n, fgt_side):
+    # One array passed as both sample and points is sorted and boxed
+    # once; the result must equal the one for a copy, bit for bit.
+    assert (n * n >= wle._FGT_MIN_CELLS) == fgt_side
+    r = _many_boxes(n, seed=24)
+    got = kernel_density_at(r, r, 0.5)
+    assert np.array_equal(got, kernel_density_at(r, r.copy(), 0.5))
+
+
+def test_kernel_density_independent_of_blas_threads():
+    code = "\n".join([
+        "import numpy as np",
+        "from panelspec.wle import kernel_density_at",
+        inspect.getsource(_many_boxes),
+        "r = _many_boxes(2000, seed=25)",
+        "print(kernel_density_at(r, r, 0.5).tobytes().hex())",
+    ])
+    src = str(pathlib.Path(wle.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) > 1000 and outputs[0] == outputs[1]
 
 
 def test_kernel_density_errors():
