@@ -9,13 +9,19 @@ the Gram inverse is assembled from the triangular factor.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
-from .exceptions import RankDeficientDesignError
+from .exceptions import NonNumericValueError, RankDeficientDesignError
 
 # Relative pivot threshold: |R[j, j]| below RCOND times the largest pivot
 # marks the design as rank deficient.
 RCOND = 1e-10
+
+
+def _lapack(routine, *args):
+    """``routine(*args)`` in place, sized by scipy's ``lwork=-1`` query."""
+    lwork = int(routine(*args, lwork=-1)[-2][0])
+    return routine(*args, lwork=lwork, overwrite_a=1)[:-2]
 
 
 def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,28 +43,29 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     RankDeficientDesignError
-        The pivoted R diagonal decays below ``RCOND`` relative to its
-        largest entry, or the design has more columns than rows.
+        The design has no columns, fewer rows than columns, or a pivoted
+        R diagonal entry below ``RCOND`` times the largest one.
+    NonNumericValueError
+        ``x`` or ``y`` is not finite (a transformation overflowed).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, k = x.shape
-    if n < k:
-        raise RankDeficientDesignError(
-            f"design has {n} rows but {k} columns"
-        )
-    q, r, piv = qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0 or diag.min() < RCOND * diag.max():
+    if n < k or k == 0:
+        raise RankDeficientDesignError(f"design has {n} rows but {k} columns")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonNumericValueError("overflow: least-squares input not finite")
+    packed, jpvt, tau = _lapack(dgeqp3, np.array(x, order="F"))
+    diag = np.abs(packed.diagonal())
+    if diag[0] == 0.0 or diag.min() < RCOND * diag.max():
         raise RankDeficientDesignError(
             "design matrix is rank deficient (collinear or constant "
             f"columns): pivoted diagonal {diag}"
         )
-    r_inv = solve_triangular(r, np.eye(k), lower=False)
-    beta = np.empty(k)
-    beta[piv] = r_inv @ (q.T @ y)
-    gram_inv = np.empty((k, k))
-    gram_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    # dtrtrs reads only R's triangle of packed; dorgqr then overwrites it.
+    r_inv, _ = dtrtrs(packed, np.eye(k, order="F"), overwrite_b=1)
+    (q,) = _lapack(dorgqr, packed, tau)
+    inv = np.argsort(jpvt)  # column j of x is pivoted column inv[j]
+    beta = (r_inv @ (q.T @ y))[inv]
+    gram_inv = (r_inv @ r_inv.T)[inv[:, np.newaxis], inv]
     # Exact symmetry keeps downstream eigendecompositions honest.
-    gram_inv = 0.5 * (gram_inv + gram_inv.T)
-    return beta, gram_inv
+    return beta, 0.5 * (gram_inv + gram_inv.T)

@@ -136,6 +136,17 @@ def _ols(panel) -> tuple[np.ndarray, ...]:
     return y, x, beta, gram_inv, y - x @ beta
 
 
+def _within_solve(dataset: PanelDataset) -> tuple[np.ndarray, ...]:
+    """The within solve that FE, RE and WFE share, kept read-only on the
+    immutable dataset as ``functools.cached_property`` would."""
+    if "_within_solve" not in vars(dataset):
+        solve = _ols(within_transform(dataset))
+        for a in solve:
+            a.setflags(write=False)
+        vars(dataset)["_within_solve"] = solve
+    return vars(dataset)["_within_solve"]
+
+
 def _fit_result(
     method: str,
     n_units: int,
@@ -205,7 +216,7 @@ def fit_fixed_effects(dataset: PanelDataset) -> EstimateResult:
     """
     n, t, k = dataset.x.shape
     return _fit_result(
-        FIXED_EFFECTS, n, _ols(within_transform(dataset)), dof=n * (t - 1) - k
+        FIXED_EFFECTS, n, _within_solve(dataset), dof=n * (t - 1) - k
     )
 
 
@@ -232,7 +243,7 @@ def estimate_variance_components(dataset: PanelDataset) -> VarianceComponents:
             f"variance components need N(T-1) > K and N > K+1; "
             f"got N={n}, T={t}, K={k}"
         )
-    resid_w = _ols(within_transform(dataset))[4]
+    resid_w = _within_solve(dataset)[4]
     sigma2_eps = float(resid_w @ resid_w) / (n * (t - 1) - k)
 
     y_b = dataset.y.mean(axis=1)

@@ -17,6 +17,7 @@ therefore byte-identical for a given seed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -219,6 +220,7 @@ def _uniform(
     return low + (high - low) * rng.random(size)
 
 
+@functools.lru_cache(maxsize=16)
 def _labels(n: int, t: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(f"u{i + 1:04d}" for i in range(n)), tuple(range(1, t + 1))
 

@@ -26,7 +26,7 @@ from .estimators import (
     WEIGHTED_FIXED_EFFECTS,
     EstimateResult,
     _fit_result,
-    _ols,
+    _within_solve,
 )
 from .exceptions import (
     ConfigurationError,
@@ -36,7 +36,6 @@ from .exceptions import (
     NonpositiveBandwidthError,
     NonpositiveScaleError,
 )
-from .transforms import within_transform
 
 __all__ = [
     "HELLINGER",
@@ -530,7 +529,7 @@ def fit_weighted_fixed_effects(
     """
     config = config or WleConfig()
     n_units, t, k = dataset.x.shape
-    y, x, beta, gram_inv, resid = _ols(within_transform(dataset))
+    y, x, beta, gram_inv, resid = _within_solve(dataset)
     n = y.size
     weights = np.ones(n)
     # Initial scale: the unit-weight case of the update formula below.

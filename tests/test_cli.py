@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run through subprocesses except where a
 test patches the program in-process."""
 
+import hashlib
 import importlib.resources as resources
 import importlib.util
 import json
@@ -183,6 +184,28 @@ def test_long_row_is_a_data_error(tmp_path):
     assert "long.csv:2: row has 6 fields, header has 5" in proc.stderr
 
 
+@pytest.mark.parametrize("column", ["x1", "y"])
+@pytest.mark.parametrize("command", [["fit", "--method", "fe"], ["test"]])
+def test_values_that_overflow_in_demeaning_are_data_errors(
+    tmp_path, column, command
+):
+    # Finite cells, so the loader accepts them; their unit mean is inf.
+    lines = (FIXTURES / "fe_oracle.csv").read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    for i in (1, 2):
+        fields = lines[i].split(",")
+        fields[j] = "1.7e308"
+        lines[i] = ",".join(fields)
+    data = tmp_path / "overflow.csv"
+    data.write_text("\n".join(lines) + "\n")
+    proc = run_cli(command[0], "--data", str(data), *DATA_FLAGS, *command[1:])
+    assert proc.returncode == 1, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "panelspec: error: overflow: least-squares input not finite" \
+        in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_internal_value_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
@@ -351,3 +374,24 @@ def test_simulate_capacity_error():
     assert proc.returncode == 1
     assert "panelspec: error:" in proc.stderr
     assert "301" in proc.stderr
+
+
+# sha256 of the `simulate` JSON report for two paper grids. Every least-squares
+# solve, transform and kernel sum on the study path feeds these bytes, so a
+# speed-up that moves any bit fails here. A change that declares new numbers
+# updates the hashes and states the old and new ones in CHANGES.md. Taken
+# with the numpy 2.4 / scipy 1.17 OpenBLAS wheels; another BLAS build may
+# round differently.
+PINNED_SIMULATE_SHA256 = {
+    ("1", "3"): "3ad43a6129e2d5e007af2f4fe14632396d04cee8dd379c21624d483d3e86cd8b",
+    ("4", "2"): "7bf4aff2ac5e5f7753be2cebbcd51cd65a1eec94fa9b34f1719bc02b59244119",
+}
+
+
+@pytest.mark.parametrize("figure,s", sorted(PINNED_SIMULATE_SHA256))
+def test_simulate_paper_figure_output_is_pinned(figure, s):
+    proc = run_cli("simulate", "--paper-figure", figure, "--s", s,
+                   "--format", "json", text=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED_SIMULATE_SHA256[(figure, s)]

@@ -1,5 +1,8 @@
 """Pooled OLS, within, variance components, and feasible GLS."""
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,6 +15,7 @@ from panelspec import (
     fit_pooled_ols,
     fit_random_effects,
 )
+from panelspec import cli, estimators, mcstudy, wle
 from panelspec.exceptions import (
     InsufficientDegreesOfFreedomError,
     RankDeficientDesignError,
@@ -218,3 +222,56 @@ def test_result_invariants():
         )
         assert res.r_squared <= 1.0
         assert len(res.std_errors()) == 2
+
+
+def _spy(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls[f"{module.__name__}.{name}"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts of the within transforms and least-squares solves."""
+    calls = Counter()
+    _spy(monkeypatch, estimators, "within_transform", calls)
+    _spy(monkeypatch, estimators, "lstsq_qr", calls)
+    _spy(monkeypatch, wle, "lstsq_qr", calls)
+    return calls
+
+
+def test_one_within_solve_per_replication(solve_calls):
+    assert mcstudy._replicate(
+        mcstudy.DgpConfig(n_units=50, n_periods=3, seed=3),
+        mcstudy.ContaminationConfig(), wle.WleConfig(), 0,
+    ) is not None
+    # Within (FE, variance components, WFE start), between and RE.
+    assert solve_calls["panelspec.estimators.within_transform"] == 1
+    assert solve_calls["panelspec.estimators.lstsq_qr"] == 3
+    assert solve_calls["panelspec.wle.lstsq_qr"] >= 1
+
+
+def test_one_within_solve_per_test_command(solve_calls, capsys):
+    data = Path(__file__).resolve().parent / "fixtures" / "contaminated_alt.csv"
+    assert cli.main(["test", "--data", str(data), "--unit", "unit",
+                     "--time", "time", "--y", "y", "--x", "x1,x2"]) == 0
+    assert '"weighted_hausman"' in capsys.readouterr().out
+    assert solve_calls["panelspec.estimators.within_transform"] == 1
+    assert solve_calls["panelspec.estimators.lstsq_qr"] == 3
+    assert solve_calls["panelspec.wle.lstsq_qr"] >= 1
+
+
+def test_shared_within_solve_is_read_only(solve_calls):
+    ds = make_panel(10, 4, 2, seed=16)
+    first = fit_fixed_effects(ds)
+    second = fit_fixed_effects(ds)
+    assert solve_calls["panelspec.estimators.within_transform"] == 1
+    assert first.beta is second.beta
+    with pytest.raises(ValueError, match="read-only"):
+        first.beta[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.residuals[0, 0] = 0.0
