@@ -46,7 +46,8 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         The design has no columns, fewer rows than columns, or a pivoted
         R diagonal entry below ``RCOND`` times the largest one.
     NonNumericValueError
-        ``x`` or ``y`` is not finite (a transformation overflowed).
+        ``x`` or ``y`` is not finite (a transformation overflowed), or a
+        column's norm overflows.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, k = x.shape
@@ -56,6 +57,10 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonNumericValueError("overflow: least-squares input not finite")
     packed, jpvt, tau = _lapack(dgeqp3, np.array(x, order="F"))
     diag = np.abs(packed.diagonal())
+    if not np.isfinite(diag).all():
+        raise NonNumericValueError(
+            "overflow: least-squares column norm not finite"
+        )
     if diag[0] == 0.0 or diag.min() < RCOND * diag.max():
         raise RankDeficientDesignError(
             "design matrix is rank deficient (collinear or constant "

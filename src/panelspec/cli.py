@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,11 +96,14 @@ def _add_wle_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-iter", type=int, default=WleConfig.max_iterations,
-        help="iteration cap for the weighted fit (default %(default)s)",
+        help="cap on the weighted fit's map evaluations, each one kernel "
+        "density pass and one weighted solve (default %(default)s)",
     )
     parser.add_argument(
         "--tol", type=float, default=WleConfig.tolerance,
-        help="relative convergence tolerance (default %(default)s)",
+        help="the weighted fit stops once its bound on the relative "
+        "distance to its fixed point falls below this (default "
+        "%(default)s)",
     )
     parser.add_argument(
         "--raf", choices=[HELLINGER, IDENTITY], default=WleConfig.raf,
@@ -223,6 +227,7 @@ def _wle_config(args: argparse.Namespace) -> WleConfig:
 
 
 def _fit_doc(result: EstimateResult, regressors: Sequence[str]) -> dict:
+    bound = result.distance_bound
     doc = {
         "method": result.method,
         "regressors": list(regressors),
@@ -239,6 +244,8 @@ def _fit_doc(result: EstimateResult, regressors: Sequence[str]) -> dict:
         "r_squared": result.r_squared,
         "converged": result.converged,
         "iterations": result.iterations,
+        # null for one-shot fits and where the steps did not contract (inf)
+        "distance_bound": bound if bound is not None and bound < inf else None,
         "n_units": int(result.residuals.shape[0]),
         "n_periods": int(result.residuals.shape[1]),
         "weights": (

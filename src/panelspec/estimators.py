@@ -9,6 +9,7 @@ pair of fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,6 +19,7 @@ from ._linalg import lstsq_qr
 from .data import PanelDataset, to_stacked
 from .exceptions import (
     InsufficientDegreesOfFreedomError,
+    NonNumericValueError,
     ZeroTotalVariationError,
 )
 from .transforms import compute_theta, quasi_demean, within_transform
@@ -90,7 +92,12 @@ class EstimateResult:
         Always True for one-shot estimators; reports loop convergence
         for iterative ones.
     iterations : int
-        Number of iterations performed (0 for one-shot estimators).
+        Number of iterations performed (0 for one-shot estimators); for
+        the weighted fit, evaluations of its fixed-point map.
+    distance_bound : float or None
+        Iterative fits: a bound on the relative distance of the result
+        to the estimator's fixed point, infinite where the steps did
+        not contract. None for one-shot estimators.
     weights : ndarray or None
         Observation weights of shape (N, T) for weighted estimators.
     variance_components : VarianceComponents or None
@@ -108,6 +115,7 @@ class EstimateResult:
     tss: float
     converged: bool = True
     iterations: int = 0
+    distance_bound: Optional[float] = None
     weights: Optional[np.ndarray] = field(default=None, repr=False)
     variance_components: Optional[VarianceComponents] = None
 
@@ -161,13 +169,19 @@ def _fit_result(
 
     The RSS, TSS and R^2 are taken on the scale of ``y``; the
     covariance is ``sigma2_eps * gram_inv``, with ``sigma2_eps = rss /
-    dof`` unless given.
+    dof`` unless given. Raises ``NonNumericValueError`` when the RSS or
+    the TSS overflows.
     """
     y, _, beta, gram_inv, resid = solve
-    rss = float(resid @ resid)
+    # Finite data can overflow in these sums where no solver sees it: pooled
+    # OLS does not demean, so its solver's input stays finite.
+    with np.errstate(over="ignore"):
+        rss = float(resid @ resid)
+        tss = _total_variation(y)
+    if not (math.isfinite(rss) and math.isfinite(tss)):
+        raise NonNumericValueError("overflow: sum of squares not finite")
     if sigma2_eps is None:
         sigma2_eps = rss / dof
-    tss = _total_variation(y)
     return EstimateResult(
         method=method,
         beta=beta,

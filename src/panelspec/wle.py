@@ -7,8 +7,9 @@ density smoothed with the same kernel, so that on clean data the two
 agree in expectation and every observation keeps weight near one.
 Observations the model cannot explain get large Pearson residuals and,
 through the residual adjustment function, weights near zero. The
-estimator iterates weighted least squares on the demeaned data until
-the coefficients settle.
+estimator is the fixed point of weighted least squares on the demeaned
+data, reached by an accelerated iteration that stops on a bound on its
+distance to that point.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .exceptions import (
     EmptySampleError,
     NonpositiveBandwidthError,
     NonpositiveScaleError,
+    PanelSpecError,
 )
 
 __all__ = [
@@ -148,10 +150,12 @@ class WleConfig:
         Bandwidth fraction: the kernel bandwidth is ``kappa`` times the
         current residual scale. Must be positive.
     max_iterations : int
-        Cap on weighted least-squares iterations.
+        Cap on evaluations of the fixed-point map, each one kernel
+        density pass and one weighted least-squares solve.
     tolerance : float
-        Relative sup-norm change in coefficients that counts as
-        converged.
+        Bound on the relative distance of the state ``(beta,
+        sigma2_nu)`` to the fixed point, ``beta`` in sup-norm over
+        ``max(1, |beta|_inf)``, below which the fit counts as converged.
     raf : str
         Residual adjustment function: ``HELLINGER`` (default) or the
         ``IDENTITY`` diagnostic.
@@ -500,17 +504,94 @@ def compute_weight_state(
     )
 
 
+def _reweight(
+    y: np.ndarray,
+    x: np.ndarray,
+    beta: np.ndarray,
+    sigma2_nu: float,
+    config: WleConfig,
+) -> tuple:
+    """One evaluation of the map ``(beta, sigma2_nu) -> (beta', sigma2_nu')``.
+
+    Weights the residuals ``y - x beta`` at scale ``sqrt(sigma2_nu)``,
+    solves weighted least squares and updates the scale. Returns
+    ``(beta', sigma2_nu', weights, gram_inv, resid)``, where ``weights``
+    are the ones the solve used and ``resid = y - x beta'``, so that
+    ``x' W resid = 0``.
+    """
+    n, k = x.shape
+    weights = compute_weight_state(
+        y - x @ beta, math.sqrt(sigma2_nu), config
+    ).weights
+    sum_w = float(weights.sum())
+    if sum_w <= k:
+        raise DegenerateWeightsError(
+            f"weight mass {sum_w:.6g} does not exceed K={k}"
+        )
+    sq = np.sqrt(weights)
+    beta, gram_inv = lstsq_qr(sq[:, np.newaxis] * x, sq * y)
+    resid = y - x @ beta
+    wrss = float(weights @ (resid * resid))
+    return beta, wrss / (sum_w - k * sum_w / n), weights, gram_inv, resid
+
+
+def _extrapolate(cycle: list) -> Optional[tuple]:
+    """SQUAREM's S3 step (Varadhan & Roland 2008) from ``p, F(p), F(F(p))``.
+
+    On the state ``(beta, sigma2_nu)``, with ``r = F(p) - p`` and
+    ``v = F(F(p)) - 2 F(p) + p``, the step length ``alpha = -|r| / |v|``,
+    clamped to at most -1, gives ``p - 2 alpha r + alpha^2 v``. Returns
+    None where that is ``F(F(p))`` itself (``alpha = -1``) or no usable
+    state: a value not finite, or ``sigma2_nu <= 0``.
+    """
+    p0, p1, p2 = (np.append(state[0], state[1]) for state in cycle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = p1 - p0
+        v = p2 - p1 - r
+        norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        if not norm_r > norm_v > 0.0:
+            return None
+        alpha = -norm_r / norm_v
+        point = p0 - 2.0 * alpha * r + alpha * alpha * v
+    if not (np.isfinite(point).all() and point[-1] > 0.0):
+        return None
+    return point[:-1], float(point[-1])
+
+
 def fit_weighted_fixed_effects(
     dataset: PanelDataset, config: Optional[WleConfig] = None
 ) -> EstimateResult:
     """Weighted-likelihood estimator on the within-transformed panel.
 
-    Starting from the within fit, iterates: compute Pearson residuals
-    of the current demeaned residuals, turn them into weights, solve
-    weighted least squares, and update the residual scale. Stops when
-    the coefficient vector changes by less than ``config.tolerance``
-    in relative sup-norm, or after ``config.max_iterations`` loops, in
-    which case the result carries ``converged=False`` (not an error).
+    The estimate is the fixed point of a map on ``(beta, sigma2_nu)``:
+    weight the current demeaned residuals through their Pearson
+    residuals, solve weighted least squares, and update the residual
+    scale. Starting from the within fit, the map is iterated with
+    SQUAREM (Varadhan & Roland 2008, scheme S3): after every two plain
+    evaluations the state is extrapolated along their steps, and one
+    plain evaluation follows. An extrapolated state that is unusable
+    (a value not finite, or ``sigma2_nu <= 0``), or whose evaluation
+    raises a package error, is replaced by the last plain state.
+
+    After each evaluation the relative distance of its result ``F(p)``
+    to the fixed point, ``beta`` in sup-norm over ``max(1, |beta|_inf)``
+    and ``sigma2_nu`` over itself, is bounded by
+    ``rho * step / (1 - rho)``, the a-posteriori bound of a contraction
+    with rate ``rho``. Here ``step`` is the change from ``p`` to
+    ``F(p)`` in the same units, and ``rho`` estimates the rate
+    conservatively: the largest ratio of two consecutive plain steps
+    since the steps last grew. The bound is infinite while the latest
+    ratio is 1 or more, and zero after a zero step. The first
+    evaluation has no ratio yet; its bound is the relative change of
+    ``beta`` alone, the plain iteration's rule, so a fit that starts at
+    its fixed point stops after one evaluation. The fit stops once the
+    bound is below ``config.tolerance``, or after
+    ``config.max_iterations`` map evaluations, in which case the result
+    carries ``converged=False`` (not an error). The result reports the
+    evaluations as ``iterations`` and the last bound as
+    ``distance_bound``. Its coefficients, weights and residuals are
+    those of the last evaluation, so ``X' W r = 0`` holds on the
+    demeaned data.
 
     The reported covariance is ``sigma2_eps * (X' W X)^-1`` on the
     demeaned data, with ``sigma2_eps`` the weighted residual variance
@@ -531,37 +612,50 @@ def fit_weighted_fixed_effects(
     n_units, t, k = dataset.x.shape
     y, x, beta, gram_inv, resid = _within_solve(dataset)
     n = y.size
-    weights = np.ones(n)
-    # Initial scale: the unit-weight case of the update formula below.
+    # Initial scale: the unit-weight case of the update formula.
     sigma2_nu = float(resid @ resid) / (n - k)
-    converged = False
-    iterations = 0
+    fit = (beta, sigma2_nu, np.ones(n), gram_inv, resid)
+    # An exact within fit is its own fixed point: nothing to reweight.
+    bound = 0.0 if sigma2_nu <= 0.0 else math.inf
+    # rate: the largest ratio of consecutive plain steps since the steps
+    # last grew; infinite while the latest ratio is >= 1.
+    rate, step, iterations = math.inf, None, 0
+    # point: the state evaluated next; fit: the last evaluation, produced
+    # by a change of ``step``; cycle: the plain states since the last
+    # extrapolation.
+    point, cycle = fit, [fit]
+    while bound >= config.tolerance and iterations < config.max_iterations:
+        if len(cycle) == 3:
+            point = _extrapolate(cycle) or fit
+            cycle = []
+        iterations += 1
+        try:
+            out = _reweight(y, x, point[0], point[1], config)
+        except PanelSpecError:
+            if point is fit:
+                raise
+            point = fit
+            continue
+        scale = max(1.0, float(np.max(np.abs(point[0]))))
+        beta_step = float(np.max(np.abs(out[0] - point[0]))) / scale
+        new_step = max(beta_step, abs(out[1] - point[1]) / point[1])
+        if step is None:
+            # No rate yet: the plain iteration's rule on beta's step.
+            bound = beta_step
+        else:
+            if point is fit:
+                ratio = new_step / step
+                rate = ratio if rate >= 1.0 else max(rate, ratio)
+            if new_step == 0.0:
+                bound = 0.0
+            elif rate < 1.0:
+                bound = rate * new_step / (1.0 - rate)
+            else:
+                bound = math.inf
+        fit, step, point = out, new_step, out
+        cycle.append(out)
 
-    if sigma2_nu > 0.0:
-        for iterations in range(1, config.max_iterations + 1):
-            weights = compute_weight_state(
-                resid, math.sqrt(sigma2_nu), config
-            ).weights
-            sum_w = float(weights.sum())
-            if sum_w <= k:
-                raise DegenerateWeightsError(
-                    f"weight mass {sum_w:.6g} does not exceed K={k}"
-                )
-            sq = np.sqrt(weights)
-            beta_new, gram_inv = lstsq_qr(sq[:, np.newaxis] * x, sq * y)
-            resid = y - x @ beta_new
-            wrss = float(weights @ (resid * resid))
-            sigma2_nu = wrss / (sum_w - k * sum_w / n)
-            step = float(np.max(np.abs(beta_new - beta)))
-            scale = max(1.0, float(np.max(np.abs(beta))))
-            beta = beta_new
-            if step / scale < config.tolerance:
-                converged = True
-                break
-    else:
-        # The within fit is exact; there is nothing to reweight.
-        converged = True
-
+    beta, _, weights, gram_inv, resid = fit
     sum_w = float(weights.sum())
     wrss = float(weights @ (resid * resid))
     # Weighted variance with the demeaning constraints in the correction,
@@ -571,7 +665,8 @@ def fit_weighted_fixed_effects(
         n_units,
         (y, x, beta, gram_inv, resid),
         sigma2_eps=wrss / (sum_w * (n - n_units - k) / n),
-        converged=converged,
+        converged=bound < config.tolerance,
         iterations=iterations,
+        distance_bound=bound,
         weights=weights.reshape(n_units, t),
     )

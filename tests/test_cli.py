@@ -67,10 +67,28 @@ def test_fit_weighted_on_clean_fixture():
     doc = _fit("wfe", FIXTURES / "fe_oracle.csv", "--kappa", "0.5")
     assert doc["method"] == "weighted_fixed_effects"
     assert doc["converged"] is True
+    assert 0.0 <= doc["distance_bound"] < 1e-6
     assert doc["min_weight"] > 0.5
     assert all(w > 0.5 for row in doc["weights"] for w in row)
     assert len(doc["weights"]) == 50
     assert len(doc["weights"][0]) == 4
+
+
+@pytest.mark.parametrize("method, extra, converged", [
+    ("fe", (), None),
+    ("pooled", (), None),
+    ("re", (), None),
+    ("wfe", ("--max-iter", "1"), False),
+    ("wfe", ("--tol", "1e-10"), True),
+])
+def test_fit_reports_its_distance_bound(method, extra, converged):
+    doc = _fit(method, FIXTURES / "contaminated_alt.csv", *extra)
+    assert "distance_bound" in _schema("fit_result.schema.json")["required"]
+    if converged is None:
+        assert doc["distance_bound"] is None
+    else:
+        assert doc["converged"] is converged
+        assert (0.0 <= doc["distance_bound"] < 1e-10) == converged
 
 
 def test_fit_reads_a_byte_order_mark(tmp_path):
@@ -184,26 +202,48 @@ def test_long_row_is_a_data_error(tmp_path):
     assert "long.csv:2: row has 6 fields, header has 5" in proc.stderr
 
 
-@pytest.mark.parametrize("column", ["x1", "y"])
-@pytest.mark.parametrize("command", [["fit", "--method", "fe"], ["test"]])
-def test_values_that_overflow_in_demeaning_are_data_errors(
-    tmp_path, column, command
-):
-    # Finite cells, so the loader accepts them; their unit mean is inf.
+def _overflowing_csv(tmp_path, column):
+    """``fe_oracle.csv`` with 1.7e308 in two cells of one unit's ``column``:
+    finite, so the loader accepts them, but their unit mean is inf."""
     lines = (FIXTURES / "fe_oracle.csv").read_text().splitlines()
     j = lines[0].split(",").index(column)
     for i in (1, 2):
         fields = lines[i].split(",")
         fields[j] = "1.7e308"
         lines[i] = ",".join(fields)
-    data = tmp_path / "overflow.csv"
+    data = tmp_path / f"overflow_{column}.csv"
     data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("column", ["x1", "y"])
+@pytest.mark.parametrize("command", [["fit", "--method", "fe"], ["test"]])
+def test_values_that_overflow_in_demeaning_are_data_errors(
+    tmp_path, column, command
+):
+    data = _overflowing_csv(tmp_path, column)
     proc = run_cli(command[0], "--data", str(data), *DATA_FLAGS, *command[1:])
     assert proc.returncode == 1, proc.stdout
     assert "Traceback" not in proc.stderr
     assert "panelspec: error: overflow: least-squares input not finite" \
         in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("column, message", [
+    ("x1", "overflow: least-squares column norm not finite"),
+    ("y", "overflow: sum of squares not finite"),
+])
+def test_values_that_overflow_in_pooled_sums_are_data_errors(
+    tmp_path, column, message
+):
+    # Pooled OLS does not demean: the solver's input is finite, and the
+    # overflow happens in a column norm or in the sums of squares.
+    data = _overflowing_csv(tmp_path, column)
+    proc = run_cli("fit", "--data", str(data), *DATA_FLAGS,
+                   "--method", "pooled")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"panelspec: error: {message}\n"
 
 
 def test_internal_value_error_propagates(monkeypatch):
@@ -376,15 +416,16 @@ def test_simulate_capacity_error():
     assert "301" in proc.stderr
 
 
-# sha256 of the `simulate` JSON report for two paper grids. Every least-squares
+# sha256 of the `simulate` JSON report for two paper grids, and of the weighted
+# fit and both tests on the contaminated fixture. Every least-squares
 # solve, transform and kernel sum on the study path feeds these bytes, so a
 # speed-up that moves any bit fails here. A change that declares new numbers
 # updates the hashes and states the old and new ones in CHANGES.md. Taken
 # with the numpy 2.4 / scipy 1.17 OpenBLAS wheels; another BLAS build may
 # round differently.
 PINNED_SIMULATE_SHA256 = {
-    ("1", "3"): "3ad43a6129e2d5e007af2f4fe14632396d04cee8dd379c21624d483d3e86cd8b",
-    ("4", "2"): "7bf4aff2ac5e5f7753be2cebbcd51cd65a1eec94fa9b34f1719bc02b59244119",
+    ("1", "3"): "f70b28928c01490f1e21ce75c2917d88720ec1ce689db437407cabec520d9aef",
+    ("4", "2"): "629fff48d54b5b1401a5bf61a70758972817d8be33cfa9b757b8a9811365c0fb",
 }
 
 
@@ -395,3 +436,21 @@ def test_simulate_paper_figure_output_is_pinned(figure, s):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout).hexdigest()
     assert digest == PINNED_SIMULATE_SHA256[(figure, s)]
+
+
+PINNED_FIXTURE_SHA256 = {
+    ("fit", "--method", "wfe"):
+        "5ed15f861552145d6cbf5cfcc7e056e8bcd4b14a70e0bdac5f9c32dce472cae5",
+    ("test",):
+        "6023f76caa050c32966c5bb43a3550fba55f89dc091765e9779e09af556f2ea8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FIXTURE_SHA256))
+def test_contaminated_fixture_output_is_pinned(command):
+    data = FIXTURES / "contaminated_alt.csv"
+    proc = run_cli(command[0], "--data", str(data), *DATA_FLAGS, *command[1:],
+                   text=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED_FIXTURE_SHA256[command]

@@ -28,10 +28,13 @@ from panelspec import (
 )
 from panelspec import wle
 from panelspec.wle import HELLINGER, IDENTITY
+from panelspec.estimators import _within_solve
 from panelspec.mcstudy import (
+    CONCENTRATED_VERTICAL,
     ContaminationConfig,
     DgpConfig,
     RANDOM_VERTICAL,
+    apply_contamination,
     contaminate_random,
     generate,
     substream,
@@ -385,14 +388,17 @@ def test_weighted_fit_clean_data_near_within():
 @given(**PANEL_SHAPES)
 @example(n=50, t=4, k=2, seed=25)
 def test_weighted_fit_identity_equals_within(n, t, k, seed):
+    # Unit weights leave the within coefficients and residuals where they
+    # are, bit for bit, so the first evaluation finds a zero step.
     ds = make_panel(n, t, k, seed=seed)
     fe = fit_fixed_effects(ds)
     wfe = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
-    assert np.allclose(wfe.beta, fe.beta, atol=1e-10)
+    np.testing.assert_array_equal(wfe.beta, fe.beta)
+    np.testing.assert_array_equal(wfe.residuals, fe.residuals)
     assert np.all(wfe.weights == 1.0)
     assert wfe.sigma2_eps == pytest.approx(fe.sigma2_eps, rel=1e-14)
     assert np.allclose(wfe.cov_beta, fe.cov_beta, rtol=1e-12)
-    assert wfe.converged
+    assert (wfe.iterations, wfe.distance_bound, wfe.converged) == (1, 0.0, True)
 
 
 def test_weighted_fit_downweights_outliers_and_dominates():
@@ -495,3 +501,146 @@ def test_weighted_fit_zero_variation():
     ds = PanelDataset(tuple("abcde"), (1, 2, 3), y, rng.normal(size=(5, 3, 2)))
     with pytest.raises(ZeroTotalVariationError):
         fit_weighted_fixed_effects(ds)
+
+
+# --- the fixed point ---------------------------------------------------------
+
+def _contaminated(scheme, m, r, seed=7):
+    """Replication ``r`` of the 100 x 3 null design with ``m`` outliers."""
+    dgp = DgpConfig(n_units=100, n_periods=3, seed=seed)
+    rng = substream(seed, r)
+    return apply_contamination(
+        generate(dgp, rng), ContaminationConfig(scheme=scheme, n_outliers=m),
+        rng)
+
+
+def _plain_fixed_point(ds, tolerance=1e-13, max_iterations=5000):
+    """The unaccelerated loop: apply the map until beta moves by less than
+    ``tolerance`` relative to ``max(1, |beta|_inf)``."""
+    y, x, beta, _, resid = _within_solve(ds)
+    n, k = x.shape
+    sigma2_nu = float(resid @ resid) / (n - k)
+    for _ in range(max_iterations):
+        new, sigma2_nu = wle._reweight(y, x, beta, sigma2_nu, WleConfig())[:2]
+        step = np.max(np.abs(new - beta)) / max(1.0, np.max(np.abs(beta)))
+        beta = new
+        if step < tolerance:
+            return beta
+    raise AssertionError("the plain reference loop did not converge")
+
+
+def _assert_at_fixed_point(ds, config=WleConfig()):
+    fit = fit_weighted_fixed_effects(ds, config)
+    assert fit.converged and fit.iterations < config.max_iterations
+    assert fit.distance_bound < config.tolerance
+    reference = _plain_fixed_point(ds)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    distance = float(np.max(np.abs(fit.beta - reference)))
+    assert distance <= config.tolerance * scale, distance
+    return fit
+
+
+_DESIGNS = [(scheme, m) for scheme in (RANDOM_VERTICAL, CONCENTRATED_VERTICAL)
+            for m in (15, 30)]
+
+
+@pytest.mark.parametrize("scheme, m", _DESIGNS)
+def test_weighted_fit_lies_within_tolerance_of_its_fixed_point(scheme, m):
+    # The paper's contaminated design (figure 4): each fit must be within
+    # tolerance of a tight plain-loop fixed point, and none may hit the cap.
+    for r in range(100):
+        _assert_at_fixed_point(_contaminated(scheme, m, r))
+
+
+@PROPERTY_SETTINGS
+@given(design=st.sampled_from(_DESIGNS),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       r=st.integers(min_value=0, max_value=10**6),
+       tolerance=st.sampled_from([1e-4, 1e-6, 1e-8]))
+@example(design=(RANDOM_VERTICAL, 30), seed=7, r=89, tolerance=1e-6)
+def test_weighted_fit_fixed_point_property(design, seed, r, tolerance):
+    # r = 89 with 30 random outliers ended 4.8e-4 from the fixed point at
+    # the 50-iteration cap under the unaccelerated step rule; it must now
+    # converge under the cap.
+    scheme, m = design
+    _assert_at_fixed_point(_contaminated(scheme, m, r, seed),
+                           WleConfig(tolerance=tolerance))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(wle, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wle, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 5, 7, 50])
+@pytest.mark.parametrize("scheme, m", _DESIGNS)
+def test_each_iteration_is_one_kernel_pass_and_one_solve(
+    monkeypatch, scheme, m, max_iterations
+):
+    # Extrapolated states are evaluated too, so the cap bounds kernel
+    # passes, not plain steps.
+    ds = _contaminated(scheme, m, 3)
+    kde = _count_calls(monkeypatch, "kernel_density_at")
+    solve = _count_calls(monkeypatch, "lstsq_qr")
+    fit = fit_weighted_fixed_effects(
+        ds, WleConfig(max_iterations=max_iterations))
+    assert fit.iterations == len(kde) == len(solve) <= max_iterations
+    assert fit.converged == (fit.distance_bound < 1e-6)
+    if not fit.converged:
+        assert fit.iterations == max_iterations
+
+
+def test_extrapolation_step():
+    # S3 from p, F(p), F(F(p)) of a linear map with rate 1/2 lands on its
+    # fixed point (0, 1); alpha = -1 and sigma2 <= 0 give no state.
+    fixed = np.array([0.0, 1.0])
+    states = [fixed + 0.5**j * np.array([1.0, 0.5]) for j in range(3)]
+    beta, sigma2 = wle._extrapolate([(p[:1], p[1]) for p in states])
+    np.testing.assert_allclose([beta[0], sigma2], fixed, atol=1e-15)
+    growing = [(np.array([2.0**j]), 1.0) for j in range(3)]
+    assert wle._extrapolate(growing) is None
+    overshoot = [(np.zeros(1), s2) for s2 in (1.0, 0.6, 0.25)]
+    assert wle._extrapolate(overshoot) is None
+
+
+def test_failed_extrapolation_falls_back_to_the_plain_state(monkeypatch):
+    # Every extrapolated state lies so far off that all weights vanish and
+    # its evaluation raises before the solve; the fit goes on from the
+    # plain state to the same fixed point, and each failed evaluation
+    # still counts as one kernel pass.
+    tried = []
+
+    def far_off(cycle):
+        tried.append(cycle)
+        return cycle[-1][0] + 1e6, cycle[-1][1]
+
+    ds = _contaminated(RANDOM_VERTICAL, 30, 3)
+    reference = _plain_fixed_point(ds)
+    monkeypatch.setattr(wle, "_extrapolate", far_off)
+    kde = _count_calls(monkeypatch, "kernel_density_at")
+    solve = _count_calls(monkeypatch, "lstsq_qr")
+    fit = fit_weighted_fixed_effects(ds, WleConfig(max_iterations=200))
+    assert fit.converged and len(tried) >= 3
+    assert fit.iterations == len(kde) == len(solve) + len(tried)
+    distance = float(np.max(np.abs(fit.beta - reference)))
+    assert distance <= 1e-6 * max(1.0, float(np.max(np.abs(reference))))
+
+
+def test_weighted_fit_returns_its_last_solve():
+    # Coefficients, weights and residuals come from one weighted solve, so
+    # the weighted normal equations hold on the demeaned data.
+    ds = _contaminated(RANDOM_VERTICAL, 30, 12)
+    fit = fit_weighted_fixed_effects(ds)
+    y, x = _within_solve(ds)[:2]
+    resid = fit.residuals.ravel()
+    np.testing.assert_array_equal(resid, y - x @ fit.beta)
+    score = x.T @ (fit.weights.ravel() * resid)
+    assert np.max(np.abs(score)) < 1e-10 * float(np.abs(y).sum())
+
