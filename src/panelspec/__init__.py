@@ -7,7 +7,7 @@ specification tests contrasting the estimators, and a reproducible
 Monte Carlo harness for size and power studies.
 """
 
-from .data import ColumnSchema, PanelDataset, from_stacked, load_long_csv, to_stacked
+from .data import ColumnSchema, PanelDataset, load_long_csv, to_stacked
 from .estimators import (
     FIXED_EFFECTS,
     POOLED_OLS,
@@ -46,8 +46,6 @@ from .mcstudy import (
     study_to_json,
 )
 from .transforms import (
-    QUASI_DEMEANED,
-    WITHIN,
     TransformedPanel,
     compute_theta,
     quasi_demean,
@@ -56,9 +54,7 @@ from .transforms import (
 from .wle import (
     HELLINGER,
     IDENTITY,
-    WeightState,
     WleConfig,
-    compute_weight_state,
     fit_weighted_fixed_effects,
     kernel_density_at,
     pearson_residuals,
@@ -77,9 +73,6 @@ __all__ = [
     "PanelDataset",
     "load_long_csv",
     "to_stacked",
-    "from_stacked",
-    "WITHIN",
-    "QUASI_DEMEANED",
     "TransformedPanel",
     "within_transform",
     "quasi_demean",
@@ -97,13 +90,11 @@ __all__ = [
     "HELLINGER",
     "IDENTITY",
     "WleConfig",
-    "WeightState",
     "kernel_density_at",
     "smoothed_model_density",
     "pearson_residuals",
     "raf_hellinger",
     "weight_function",
-    "compute_weight_state",
     "fit_weighted_fixed_effects",
     "HAUSMAN",
     "WEIGHTED_HAUSMAN",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "PanelDataset",
     "load_long_csv",
     "to_stacked",
-    "from_stacked",
 ]
 
 
@@ -309,38 +308,10 @@ def to_stacked(dataset) -> tuple[np.ndarray, np.ndarray]:
 
     Row ``i * T + t`` of the output corresponds to unit ``i``, period
     ``t`` of the panel. ``dataset`` is a :class:`PanelDataset` or a
-    transformed panel (anything with ``y`` of shape (N, T) and ``x`` of
-    shape (N, T, K)); the arrays are views of its storage.
+    :class:`~panelspec.transforms.TransformedPanel`, anything with ``y``
+    of shape (N, T) and ``x`` of shape (N, T, K); the arrays are views
+    of its storage.
     """
     n, t, k = dataset.x.shape
     return dataset.y.reshape(n * t), dataset.x.reshape(n * t, k)
 
-
-def from_stacked(
-    y: np.ndarray,
-    x: np.ndarray,
-    unit_ids: Sequence[Hashable],
-    time_ids: Sequence[Hashable],
-) -> PanelDataset:
-    """Rebuild a panel from unit-major stacked arrays.
-
-    Inverse of :func:`to_stacked`: ``from_stacked(*to_stacked(ds),
-    ds.unit_ids, ds.time_ids)`` reproduces ``ds`` exactly.
-    """
-    n, t = len(unit_ids), len(time_ids)
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != (n * t,):
-        raise MissingCellError(
-            f"stacked y has shape {y.shape}, expected ({n * t},)"
-        )
-    if x.ndim != 2 or x.shape[0] != n * t:
-        raise MissingCellError(
-            f"stacked x has shape {x.shape}, expected ({n * t}, K)"
-        )
-    return PanelDataset(
-        tuple(unit_ids),
-        tuple(time_ids),
-        y.reshape(n, t),
-        x.reshape(n, t, x.shape[1]),
-    )

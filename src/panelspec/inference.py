@@ -42,6 +42,12 @@ __all__ = [
 HAUSMAN = "hausman"
 WEIGHTED_HAUSMAN = "weighted_hausman"
 
+# The robust fit each test contrasts with the random-effects fit.
+_ROBUST_METHOD = {
+    HAUSMAN: FIXED_EFFECTS,
+    WEIGHTED_HAUSMAN: WEIGHTED_FIXED_EFFECTS,
+}
+
 # Eigenvalues of the covariance difference below this fraction of the
 # largest one are clamped up before inverting.
 _EIG_FLOOR_REL = 1e-12
@@ -107,6 +113,20 @@ def _contrast(
     robust: EstimateResult,
     re_result: EstimateResult,
 ) -> TestResult:
+    expected = _ROBUST_METHOD[kind]
+    if robust.method != expected:
+        raise MethodMismatchError(
+            f"expected a {expected} fit, got {robust.method}"
+        )
+    if re_result.method != RANDOM_EFFECTS:
+        raise MethodMismatchError(
+            f"expected a {RANDOM_EFFECTS} fit, got {re_result.method}"
+        )
+    if len(re_result.beta) != len(robust.beta):
+        raise DimensionMismatchError(
+            f"coefficient lengths differ: {len(robust.beta)} vs "
+            f"{len(re_result.beta)}"
+        )
     q = np.asarray(robust.beta, dtype=float) - np.asarray(
         re_result.beta, dtype=float
     )
@@ -154,11 +174,6 @@ def hausman_test(
     DimensionMismatchError
         The coefficient vectors have different lengths.
     """
-    if fe_result.method != FIXED_EFFECTS:
-        raise MethodMismatchError(
-            f"expected a {FIXED_EFFECTS} fit, got {fe_result.method}"
-        )
-    _check_re(re_result, fe_result)
     return _contrast(HAUSMAN, fe_result, re_result)
 
 
@@ -176,22 +191,5 @@ def weighted_hausman_test(
     MethodMismatchError, DimensionMismatchError
         As for :func:`hausman_test`.
     """
-    if wfe_result.method != WEIGHTED_FIXED_EFFECTS:
-        raise MethodMismatchError(
-            f"expected a {WEIGHTED_FIXED_EFFECTS} fit, got {wfe_result.method}"
-        )
-    _check_re(re_result, wfe_result)
     return _contrast(WEIGHTED_HAUSMAN, wfe_result, re_result)
-
-
-def _check_re(re_result: EstimateResult, other: EstimateResult) -> None:
-    if re_result.method != RANDOM_EFFECTS:
-        raise MethodMismatchError(
-            f"expected a {RANDOM_EFFECTS} fit, got {re_result.method}"
-        )
-    if len(re_result.beta) != len(other.beta):
-        raise DimensionMismatchError(
-            f"coefficient lengths differ: {len(other.beta)} vs "
-            f"{len(re_result.beta)}"
-        )
 

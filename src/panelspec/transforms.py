@@ -10,8 +10,7 @@ and ``theta = 1`` reproduces the within transformation. The GLS value of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,52 +18,37 @@ from .data import PanelDataset
 from .exceptions import ThetaOutOfRangeError, ZeroIdiosyncraticVarianceError
 
 __all__ = [
-    "WITHIN",
-    "QUASI_DEMEANED",
     "TransformedPanel",
     "within_transform",
     "quasi_demean",
     "compute_theta",
 ]
 
-WITHIN = "within"
-QUASI_DEMEANED = "quasi-demeaned"
 
+class TransformedPanel(NamedTuple):
+    """Transformed response ``y``, shape (N, T), and regressors ``x``,
+    shape (N, T, K), in the layout of the panel they came from."""
 
-@dataclass(frozen=True)
-class TransformedPanel:
-    """Transformed response and regressors, keeping the (N, T) layout.
-
-    Attributes
-    ----------
-    y : ndarray, shape (N, T)
-    x : ndarray, shape (N, T, K)
-    kind : str
-        Either ``WITHIN`` or ``QUASI_DEMEANED``.
-    theta : float or None
-        The quasi-demeaning fraction; None for the within transform.
-    """
-
-    y: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    kind: str = WITHIN
-    theta: Optional[float] = None
+    y: np.ndarray
+    x: np.ndarray
 
 
 def within_transform(dataset: PanelDataset) -> TransformedPanel:
-    """Subtract each unit's time average from its response and regressors.
+    """Subtract each unit's time average: ``quasi_demean(dataset, 1.0)``.
 
     Every transformed unit sums to zero over time, exactly up to
     floating-point accumulation; applying the transform twice gives the
     same result as applying it once.
     """
-    y = dataset.y - dataset.y.mean(axis=1, keepdims=True)
-    x = dataset.x - dataset.x.mean(axis=1, keepdims=True)
-    return TransformedPanel(y=y, x=x, kind=WITHIN, theta=None)
+    return quasi_demean(dataset, 1.0)
 
 
 def quasi_demean(dataset: PanelDataset, theta: float) -> TransformedPanel:
     """Subtract ``theta`` times each unit's time average.
+
+    A unit mean of finite values can overflow; the result then holds
+    non-finite cells, which the least-squares solver rejects as a data
+    error.
 
     Parameters
     ----------
@@ -82,9 +66,10 @@ def quasi_demean(dataset: PanelDataset, theta: float) -> TransformedPanel:
     theta = float(theta)
     if not math.isfinite(theta) or theta < 0.0 or theta > 1.0:
         raise ThetaOutOfRangeError(f"theta must lie in [0, 1], got {theta}")
-    y = dataset.y - theta * dataset.y.mean(axis=1, keepdims=True)
-    x = dataset.x - theta * dataset.x.mean(axis=1, keepdims=True)
-    return TransformedPanel(y=y, x=x, kind=QUASI_DEMEANED, theta=theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dataset.y - theta * dataset.y.mean(axis=1, keepdims=True)
+        x = dataset.x - theta * dataset.x.mean(axis=1, keepdims=True)
+    return TransformedPanel(y, x)
 
 
 def compute_theta(sigma2_eps: float, sigma2_alpha: float, n_periods: int) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -43,13 +43,11 @@ __all__ = [
     "HELLINGER",
     "IDENTITY",
     "WleConfig",
-    "WeightState",
     "kernel_density_at",
     "smoothed_model_density",
     "pearson_residuals",
     "raf_hellinger",
     "weight_function",
-    "compute_weight_state",
     "fit_weighted_fixed_effects",
 ]
 
@@ -185,28 +183,6 @@ class WleConfig:
             )
         if self.raf not in (HELLINGER, IDENTITY):
             raise ConfigurationError(f"unknown raf {self.raf!r}")
-
-
-@dataclass(frozen=True)
-class WeightState:
-    """Diagnostics of one weighting pass.
-
-    Attributes
-    ----------
-    residuals : ndarray, shape (n,)
-        The demeaned residuals the weights were computed from.
-    sigma_nu : float
-        Residual scale used for the kernel bandwidth and model density.
-    pearson : ndarray, shape (n,)
-        Pearson residuals delta_i = f*(r_i) / m*(r_i) - 1.
-    weights : ndarray, shape (n,)
-        Weights in [0, 1], one per residual.
-    """
-
-    residuals: np.ndarray = field(repr=False)
-    sigma_nu: float
-    pearson: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
 
 def kernel_density_at(
@@ -488,22 +464,6 @@ def weight_function(
     return w
 
 
-def compute_weight_state(
-    residuals: np.ndarray, sigma_nu: float, config: Optional[WleConfig] = None
-) -> WeightState:
-    """One weighting pass: Pearson residuals and weights for a sample."""
-    config = config or WleConfig()
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    delta = pearson_residuals(residuals, sigma_nu, config)
-    weights = weight_function(delta, config.raf)
-    return WeightState(
-        residuals=residuals,
-        sigma_nu=float(sigma_nu),
-        pearson=delta,
-        weights=np.asarray(weights),
-    )
-
-
 def _reweight(
     y: np.ndarray,
     x: np.ndarray,
@@ -520,9 +480,8 @@ def _reweight(
     ``x' W resid = 0``.
     """
     n, k = x.shape
-    weights = compute_weight_state(
-        y - x @ beta, math.sqrt(sigma2_nu), config
-    ).weights
+    delta = pearson_residuals(y - x @ beta, math.sqrt(sigma2_nu), config)
+    weights = weight_function(delta, config.raf)
     sum_w = float(weights.sum())
     if sum_w <= k:
         raise DegenerateWeightsError(

@@ -19,7 +19,6 @@ from panelspec import (
 )
 from panelspec.estimators import (
     FIXED_EFFECTS,
-    POOLED_OLS,
     RANDOM_EFFECTS,
     WEIGHTED_FIXED_EFFECTS,
 )
@@ -210,20 +209,32 @@ def test_p_value_matches_sf_exactly():
     assert out.statistic >= 0.0
 
 
-def test_method_and_dimension_guards():
-    fe = _result(FIXED_EFFECTS, [0.5], [[0.05]])
-    re = _result(RANDOM_EFFECTS, [0.3], [[0.01]])
-    wfe = _result(WEIGHTED_FIXED_EFFECTS, [0.5], [[0.05]])
-    pooled = _result(POOLED_OLS, [0.5], [[0.05]])
-    with pytest.raises(MethodMismatchError):
-        hausman_test(pooled, re)
-    with pytest.raises(MethodMismatchError):
-        hausman_test(fe, fe)
-    with pytest.raises(MethodMismatchError):
-        weighted_hausman_test(fe, re)
-    re2 = _result(RANDOM_EFFECTS, [0.3, 0.1], np.eye(2))
-    with pytest.raises(DimensionMismatchError):
-        hausman_test(fe, re2)
-    with pytest.raises(DimensionMismatchError):
-        weighted_hausman_test(wfe, re2)
-
+@pytest.mark.parametrize("test, method, other", [
+    (hausman_test, FIXED_EFFECTS, WEIGHTED_FIXED_EFFECTS),
+    (weighted_hausman_test, WEIGHTED_FIXED_EFFECTS, FIXED_EFFECTS),
+], ids=["hausman", "weighted"])
+@pytest.mark.parametrize("case", ["robust", "re", "length"])
+def test_method_and_dimension_guards(test, method, other, case):
+    # The checks run in this order: robust method, RE method, lengths.
+    # Each case also fails every later check, so a reordered guard
+    # raises the wrong message.
+    one, two = [0.5], [0.5, 0.2]
+    robust = _result(method, one, [[0.05]])
+    args, error, message = {
+        "robust": (
+            (_result(other, one, [[0.05]]), _result(other, two, np.eye(2))),
+            MethodMismatchError, f"expected a {method} fit, got {other}",
+        ),
+        "re": (
+            (robust, _result(method, two, np.eye(2))),
+            MethodMismatchError,
+            f"expected a {RANDOM_EFFECTS} fit, got {method}",
+        ),
+        "length": (
+            (robust, _result(RANDOM_EFFECTS, two, np.eye(2))),
+            DimensionMismatchError, "coefficient lengths differ: 1 vs 2",
+        ),
+    }[case]
+    with pytest.raises(error) as info:
+        test(*args)
+    assert str(info.value) == message

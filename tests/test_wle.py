@@ -17,7 +17,6 @@ from scipy.special import ndtri
 from panelspec import (
     PanelDataset,
     WleConfig,
-    compute_weight_state,
     fit_fixed_effects,
     fit_weighted_fixed_effects,
     kernel_density_at,
@@ -27,7 +26,7 @@ from panelspec import (
     weight_function,
 )
 from panelspec import wle
-from panelspec.wle import HELLINGER, IDENTITY
+from panelspec.wle import IDENTITY
 from panelspec.estimators import _within_solve
 from panelspec.mcstudy import (
     CONCENTRATED_VERTICAL,
@@ -343,21 +342,13 @@ def test_monotone_response_to_growing_outlier():
     base = rng.normal(size=400)
     weights = []
     for c in (3.0, 5.0, 10.0, 20.0):
-        state = compute_weight_state(np.append(base, c), 1.0)
-        weights.append(float(state.weights[-1]))
+        delta = pearson_residuals(np.append(base, c), 1.0)
+        w = weight_function(delta)
+        assert np.all(delta > -1.0)
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        weights.append(float(w[-1]))
     assert all(a >= b for a, b in zip(weights, weights[1:]))
     assert weights[-1] < 1e-6
-
-
-def test_compute_weight_state_consistency():
-    rng = np.random.default_rng(23)
-    residuals = rng.normal(size=200)
-    state = compute_weight_state(residuals, 1.0)
-    assert np.array_equal(
-        state.weights, np.asarray(weight_function(state.pearson, HELLINGER))
-    )
-    assert np.all(state.pearson > -1.0)
-    assert np.all((state.weights >= 0.0) & (state.weights <= 1.0))
 
 
 def test_wle_config_validation():
@@ -585,13 +576,17 @@ def test_each_iteration_is_one_kernel_pass_and_one_solve(
     monkeypatch, scheme, m, max_iterations
 ):
     # Extrapolated states are evaluated too, so the cap bounds kernel
-    # passes, not plain steps.
+    # passes, not plain steps. Each evaluation looks up the kernel, the
+    # weights and the solve as module globals, so a wrapper on any of
+    # them (as perfbench's tracer sets) sees every pass.
     ds = _contaminated(scheme, m, 3)
     kde = _count_calls(monkeypatch, "kernel_density_at")
+    weigh = _count_calls(monkeypatch, "weight_function")
     solve = _count_calls(monkeypatch, "lstsq_qr")
     fit = fit_weighted_fixed_effects(
         ds, WleConfig(max_iterations=max_iterations))
-    assert fit.iterations == len(kde) == len(solve) <= max_iterations
+    assert fit.iterations == len(kde) == len(weigh) == len(solve)
+    assert fit.iterations <= max_iterations
     assert fit.converged == (fit.distance_bound < 1e-6)
     if not fit.converged:
         assert fit.iterations == max_iterations
@@ -614,7 +609,7 @@ def test_failed_extrapolation_falls_back_to_the_plain_state(monkeypatch):
     # Every extrapolated state lies so far off that all weights vanish and
     # its evaluation raises before the solve; the fit goes on from the
     # plain state to the same fixed point, and each failed evaluation
-    # still counts as one kernel pass.
+    # still counts as one kernel pass and one weighting.
     tried = []
 
     def far_off(cycle):
@@ -625,10 +620,11 @@ def test_failed_extrapolation_falls_back_to_the_plain_state(monkeypatch):
     reference = _plain_fixed_point(ds)
     monkeypatch.setattr(wle, "_extrapolate", far_off)
     kde = _count_calls(monkeypatch, "kernel_density_at")
+    weigh = _count_calls(monkeypatch, "weight_function")
     solve = _count_calls(monkeypatch, "lstsq_qr")
     fit = fit_weighted_fixed_effects(ds, WleConfig(max_iterations=200))
     assert fit.converged and len(tried) >= 3
-    assert fit.iterations == len(kde) == len(solve) + len(tried)
+    assert fit.iterations == len(kde) == len(weigh) == len(solve) + len(tried)
     distance = float(np.max(np.abs(fit.beta - reference)))
     assert distance <= 1e-6 * max(1.0, float(np.max(np.abs(reference))))
 
