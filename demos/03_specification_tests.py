@@ -9,13 +9,6 @@ of the second. The weighted test keeps its verdict when outliers push
 the classical statistic around.
 """
 
-from panelspec import (
-    fit_fixed_effects,
-    fit_random_effects,
-    fit_weighted_fixed_effects,
-    hausman_test,
-    weighted_hausman_test,
-)
 from panelspec.mcstudy import (
     ALTERNATIVE,
     ContaminationConfig,
@@ -23,16 +16,14 @@ from panelspec.mcstudy import (
     RANDOM_VERTICAL,
     contaminate_random,
     generate,
+    specification_tests,
     substream,
 )
 
 
 def report(label, panel):
-    fe = fit_fixed_effects(panel)
-    re = fit_random_effects(panel)
-    wfe = fit_weighted_fixed_effects(panel)
-    h = hausman_test(fe, re)
-    w = weighted_hausman_test(wfe, re)
+    # Within, GLS and weighted fits, then both contrasts against GLS.
+    _, _, (h, w) = specification_tests(panel)
     print(f"{label}:")
     print(f"  hausman   stat {h.statistic:8.3f}  p {h.p_value:.4f}"
           f"  repaired={h.repaired}")

@@ -29,7 +29,7 @@ from .estimators import (
     fit_random_effects,
 )
 from .exceptions import PanelSpecError
-from .inference import hausman_test, weighted_hausman_test
+from .inference import HAUSMAN, WEIGHTED_HAUSMAN
 from .mcstudy import (
     ALTERNATIVE,
     CONCENTRATED_VERTICAL,
@@ -39,6 +39,7 @@ from .mcstudy import (
     ContaminationConfig,
     DgpConfig,
     run_study,
+    specification_tests,
     study_to_csv,
     study_to_json,
 )
@@ -51,6 +52,10 @@ _METHODS = {
     "fe": fit_fixed_effects,
     "re": fit_random_effects,
 }
+
+# The tests each --which choice runs, in report order.
+_WHICH = {"hausman": (HAUSMAN,), "weighted": (WEIGHTED_HAUSMAN,),
+          "both": (HAUSMAN, WEIGHTED_HAUSMAN)}
 
 # Preset study grids for the simulate subcommand (--paper-figure):
 # 1 and 2 sweep the cross-sectional size on clean data (size and power);
@@ -264,9 +269,10 @@ def _fit_doc(result: EstimateResult, regressors: Sequence[str]) -> dict:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """Estimate one model and print the result."""
+    wle_config = _wle_config(args)
     dataset = _load(args)
     if args.method == "wfe":
-        result = fit_weighted_fixed_effects(dataset, _wle_config(args))
+        result = fit_weighted_fixed_effects(dataset, wle_config)
     else:
         result = _METHODS[args.method](dataset)
     if args.format == "json":
@@ -282,21 +288,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    """Run the specification tests and print a report.
+    """Run the ``--which`` tests by ``specification_tests``; print a report.
 
-    The report carries both statistics with p-values plus the residual
+    The report carries each statistic with its p-value plus the residual
     sums of squares and R-squared under the fixed- and random-effects
     fits, so a model choice can be read off one document.
     """
+    wle_config = _wle_config(args)
     dataset = _load(args)
-    fe = fit_fixed_effects(dataset)
-    re = fit_random_effects(dataset, theta=args.force_theta)
-    records = []
-    if args.which in ("hausman", "both"):
-        records.append(hausman_test(fe, re))
-    if args.which in ("weighted", "both"):
-        wfe = fit_weighted_fixed_effects(dataset, _wle_config(args))
-        records.append(weighted_hausman_test(wfe, re))
+    fe, re, records = specification_tests(
+        dataset, _WHICH[args.which], wle_config, args.force_theta
+    )
     if args.format == "json":
         doc = {
             "tests": [

@@ -2,10 +2,13 @@
 
 Every error that signals a violated contract derives from
 :class:`PanelSpecError`, so callers (and the command line front end) can
-catch one base class and report the message.
+catch one base class and report the message. ``require_count`` is the
+one check of a count argument.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class PanelSpecError(Exception):
@@ -14,6 +17,15 @@ class PanelSpecError(Exception):
 
 class ConfigurationError(PanelSpecError, ValueError):
     """A configuration value or argument is outside its allowed set."""
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Reject a count that is a bool, not an integer or below ``least``."""
+    integral = isinstance(value, numbers.Integral)
+    if not integral or isinstance(value, bool) or value < least:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {least}, got {value!r}"
+        )
 
 
 # --- data loading and dataset construction -------------------------------

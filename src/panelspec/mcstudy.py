@@ -2,10 +2,11 @@
 
 Provides the data-generating process under both hypotheses (exogenous
 and correlated unit effects), the two vertical-outlier contamination
-schemes, ``run_study``, which runs both specification tests over many
-replications and tabulates rejection rates on a grid of nominal levels,
-and the JSON and CSV reports of a list of studies, which the library
-and ``panelspec simulate`` write alike.
+schemes, ``specification_tests``, the one fit-and-contrast sequence
+behind every replication and ``panelspec test``, ``run_study``, which
+runs it over many replications and tabulates rejection rates on a grid
+of nominal levels, and the JSON and CSV reports of a list of studies,
+which the library and ``panelspec simulate`` write alike.
 
 Reproducibility contract: every replication draws from its own
 substream derived from ``(master seed, replication index)``, normal
@@ -21,7 +22,6 @@ import functools
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from scipy.special import ndtri
 
 from .data import PanelDataset
 from .estimators import (
+    EstimateResult,
     fit_fixed_effects,
     fit_random_effects,
 )
@@ -37,10 +38,12 @@ from .exceptions import (
     ConfigurationError,
     PanelSpecError,
     TooManyOutliersError,
+    require_count,
 )
 from .inference import (
     HAUSMAN,
     WEIGHTED_HAUSMAN,
+    TestResult,
     hausman_test,
     weighted_hausman_test,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "contaminate_random",
     "contaminate_concentrated",
     "apply_contamination",
+    "specification_tests",
     "run_study",
     "study_to_json",
     "study_to_csv",
@@ -77,14 +81,6 @@ _DEFAULT_BOUNDS = {
     RANDOM_VERTICAL: (10.0, 35.0),
     CONCENTRATED_VERTICAL: (17.0, 18.0),
 }
-
-
-def _require_count(name: str, value, least: int) -> None:
-    """Reject a count that is not an integer or is below ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigurationError(
-            f"{name} must be an integer >= {least}, got {value!r}"
-        )
 
 
 def _require_finite(name: str, values: tuple[float, ...]) -> None:
@@ -126,9 +122,9 @@ class DgpConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
-        _require_count("n_units", self.n_units, 2)
-        _require_count("n_periods", self.n_periods, 2)
-        _require_count("seed", self.seed, 0)
+        require_count("n_units", self.n_units, 2)
+        require_count("n_periods", self.n_periods, 2)
+        require_count("seed", self.seed, 0)
         if not self.beta:
             raise ConfigurationError("beta must be nonempty")
         _require_finite("beta", self.beta)
@@ -173,7 +169,7 @@ class ContaminationConfig:
             CONCENTRATED_VERTICAL,
         ):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        _require_count("n_outliers", self.n_outliers, 0)
+        require_count("n_outliers", self.n_outliers, 0)
         if self.scheme == NO_CONTAMINATION and self.n_outliers != 0:
             raise ConfigurationError("scheme 'none' cannot place outliers")
         if (self.low is None) != (self.high is None):
@@ -392,24 +388,29 @@ class StudyResult:
         return len(self.dgp.beta)
 
 
-def _replicate(
-    dgp: DgpConfig,
-    contamination: ContaminationConfig,
-    wle_config: WleConfig,
-    r: int,
-):
-    rng = substream(dgp.seed, r)
-    try:
-        ds = generate(dgp, rng)
-        ds = apply_contamination(ds, contamination, rng)
-        fe = fit_fixed_effects(ds)
-        re = fit_random_effects(ds)
-        wfe = fit_weighted_fixed_effects(ds, wle_config)
-        h = hausman_test(fe, re)
-        wh = weighted_hausman_test(wfe, re)
-        return (h.statistic, h.p_value, wh.statistic, wh.p_value)
-    except PanelSpecError:
-        return None
+def specification_tests(
+    dataset: PanelDataset,
+    kinds: Sequence[str] = (HAUSMAN, WEIGHTED_HAUSMAN),
+    wle_config: Optional[WleConfig] = None,
+    theta: Optional[float] = None,
+) -> tuple[EstimateResult, EstimateResult, list[TestResult]]:
+    """Fit FE and RE once, and WFE for ``WEIGHTED_HAUSMAN`` only; return
+    ``(fe, re, tests)``, one test per entry of ``kinds``, in its order.
+
+    ``theta`` forces RE's quasi-demeaning fraction (testing hook); an
+    empty ``kinds`` or an unknown kind raises ``ConfigurationError``.
+    """
+    # Looked up per call, so a wrapper set on this module sees the calls.
+    tests = {HAUSMAN: hausman_test, WEIGHTED_HAUSMAN: weighted_hausman_test}
+    if not kinds or not set(kinds) <= tests.keys():
+        raise ConfigurationError(f"unknown or no test kinds: {kinds!r}")
+    fe = fit_fixed_effects(dataset)
+    re = fit_random_effects(dataset, theta=theta)
+    robust = {HAUSMAN: fe}
+    if WEIGHTED_HAUSMAN in kinds:
+        wfe = fit_weighted_fixed_effects(dataset, wle_config)
+        robust[WEIGHTED_HAUSMAN] = wfe
+    return fe, re, [tests[kind](robust[kind], re) for kind in kinds]
 
 
 def run_study(
@@ -424,8 +425,8 @@ def run_study(
 
     Replication ``r`` generates a panel from ``dgp``'s substream
     ``(seed, r)``, applies the contamination with the same stream,
-    fits the within, GLS, and weighted estimators, and evaluates both
-    tests. The replications run serially in order ``r = 0, ..., s - 1``.
+    and runs both tests on it with :func:`specification_tests`. The
+    replications run serially in order ``r = 0, ..., s - 1``.
     Replications that abort with a package error count as failures and
     are excluded from the rejection rates.
 
@@ -435,7 +436,7 @@ def run_study(
         None means no contamination and the default weighted fit; the
         result records the configs that were used.
     """
-    _require_count("s", s, 1)
+    require_count("s", s, 1)
     gammas = tuple(float(g) for g in gamma_grid)
     if not gammas or any(not (0.0 < g < 1.0) for g in gammas):
         raise ConfigurationError(f"levels must lie in (0, 1), got {gammas}")
@@ -443,25 +444,28 @@ def run_study(
     wle_config = wle_config or WleConfig()
     _require_capacity(contamination, dgp.n_units, dgp.n_periods)
 
-    raw = [_replicate(dgp, contamination, wle_config, r) for r in range(s)]
-    kept = [row for row in raw if row is not None]
-    failures = s - len(kept)
-    h_stats = np.array([row[0] for row in kept])
-    h_pvals = np.array([row[1] for row in kept])
-    w_stats = np.array([row[2] for row in kept])
-    w_pvals = np.array([row[3] for row in kept])
-
-    def rates(pvals: np.ndarray) -> tuple[float, ...]:
-        if pvals.size == 0:
-            return tuple(math.nan for _ in gammas)
-        return tuple(float(np.mean(pvals <= g)) for g in gammas)
-
+    kinds = (HAUSMAN, WEIGHTED_HAUSMAN)
+    kept = []
+    for r in range(s):
+        rng = substream(dgp.seed, r)
+        try:
+            ds = apply_contamination(generate(dgp, rng), contamination, rng)
+            kept.append(specification_tests(ds, kinds, wle_config)[2])
+        except PanelSpecError:
+            continue
+    statistics, rejection_rates = {}, {}
+    for j, kind in enumerate(kinds):
+        statistics[kind] = np.array([tests[j].statistic for tests in kept])
+        pvals = np.array([tests[j].p_value for tests in kept])
+        rejection_rates[kind] = tuple(
+            float(np.mean(pvals <= g)) if kept else math.nan for g in gammas
+        )
     return StudyResult(
         gamma_grid=gammas,
-        rejection_rates={HAUSMAN: rates(h_pvals), WEIGHTED_HAUSMAN: rates(w_pvals)},
-        statistics={HAUSMAN: h_stats, WEIGHTED_HAUSMAN: w_stats},
+        rejection_rates=rejection_rates,
+        statistics=statistics,
         s_replications=s,
-        failures=failures,
+        failures=s - len(kept),
         dgp=dgp,
         contamination=contamination,
         wle_config=wle_config,

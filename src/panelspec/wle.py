@@ -15,7 +15,6 @@ distance to that point.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,6 +36,7 @@ from .exceptions import (
     NonpositiveBandwidthError,
     NonpositiveScaleError,
     PanelSpecError,
+    require_count,
 )
 
 __all__ = [
@@ -169,14 +169,7 @@ class WleConfig:
             raise NonpositiveBandwidthError(
                 f"kappa must be positive, got {self.kappa}"
             )
-        if (
-            not isinstance(self.max_iterations, numbers.Integral)
-            or self.max_iterations < 1
-        ):
-            raise ConfigurationError(
-                f"max_iterations must be an integer >= 1, "
-                f"got {self.max_iterations!r}"
-            )
+        require_count("max_iterations", self.max_iterations, 1)
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ConfigurationError(
                 f"tolerance must be positive and finite, got {self.tolerance}"

@@ -172,6 +172,13 @@ def test_flag_defaults_are_the_config_defaults(command):
     ["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
      "--method", "wfe", "--max-iter", "0"],
     ["simulate", "--n", "25", "--s", "2", "--beta", "nan,1"],
+    # WLE flags are checked even when the command fits no weighted model.
+    ["test", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
+     "--which", "hausman", "--max-iter", "0"],
+    ["test", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
+     "--which", "hausman", "--kappa", "-1"],
+    ["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
+     "--method", "fe", "--tol", "0"],
 ])
 def test_configuration_errors_exit_1(args):
     proc = run_cli(*args)

@@ -245,24 +245,31 @@ def solve_calls(monkeypatch):
 
 
 def test_one_within_solve_per_replication(solve_calls):
-    assert mcstudy._replicate(
-        mcstudy.DgpConfig(n_units=50, n_periods=3, seed=3),
-        mcstudy.ContaminationConfig(), wle.WleConfig(), 0,
-    ) is not None
+    study = mcstudy.run_study(
+        mcstudy.DgpConfig(n_units=50, n_periods=3, seed=3), s=1
+    )
+    assert study.failures == 0
     # Within (FE, variance components, WFE start), between and RE.
     assert solve_calls["panelspec.estimators.within_transform"] == 1
     assert solve_calls["panelspec.estimators.lstsq_qr"] == 3
     assert solve_calls["panelspec.wle.lstsq_qr"] >= 1
 
 
-def test_one_within_solve_per_test_command(solve_calls, capsys):
+@pytest.mark.parametrize("which", ["hausman", "weighted", "both"])
+def test_one_within_solve_per_test_command(which, solve_calls, capsys):
     data = Path(__file__).resolve().parent / "fixtures" / "contaminated_alt.csv"
     assert cli.main(["test", "--data", str(data), "--unit", "unit",
-                     "--time", "time", "--y", "y", "--x", "x1,x2"]) == 0
-    assert '"weighted_hausman"' in capsys.readouterr().out
+                     "--time", "time", "--y", "y", "--x", "x1,x2",
+                     "--which", which]) == 0
+    out = capsys.readouterr().out
+    assert ('"weighted_hausman"' in out) == (which != "hausman")
     assert solve_calls["panelspec.estimators.within_transform"] == 1
     assert solve_calls["panelspec.estimators.lstsq_qr"] == 3
-    assert solve_calls["panelspec.wle.lstsq_qr"] >= 1
+    # The weighted fit, and its solves, run only for the weighted test.
+    if which == "hausman":
+        assert solve_calls["panelspec.wle.lstsq_qr"] == 0
+    else:
+        assert solve_calls["panelspec.wle.lstsq_qr"] >= 1
 
 
 def test_shared_within_solve_is_read_only(solve_calls):

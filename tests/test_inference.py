@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 from scipy.integrate import quad
 
 from panelspec import (
@@ -23,6 +24,7 @@ from panelspec.estimators import (
     WEIGHTED_FIXED_EFFECTS,
 )
 from panelspec.inference import HAUSMAN, WEIGHTED_HAUSMAN
+from panelspec.mcstudy import specification_tests
 from panelspec.wle import IDENTITY
 from panelspec.exceptions import (
     ConfigurationError,
@@ -31,7 +33,7 @@ from panelspec.exceptions import (
     NegativeArgumentError,
 )
 
-from helpers import make_panel
+from helpers import PANEL_SHAPES, PROPERTY_SETTINGS, make_panel
 
 
 def _result(method, beta, cov, **kw):
@@ -190,16 +192,23 @@ def test_statistic_scaling_invariance():
     assert w2 == pytest.approx(w1, rel=1e-8)
 
 
-def test_statistic_unit_reorder_invariance():
-    ds = make_panel(50, 4, 2, seed=44)
-    perm = np.random.default_rng(45).permutation(50)
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=50, t=4, k=2, seed=44)
+def test_statistic_unit_reorder_invariance(n, t, k, seed):
+    # Both statistics are sums over units, so the order of the units in
+    # the panel must not move them.
+    ds = make_panel(n, t, k, seed=seed)
+    perm = np.random.default_rng(seed + 1).permutation(n)
     permuted = PanelDataset(
         tuple(ds.unit_ids[i] for i in perm), ds.time_ids,
         ds.y[perm], ds.x[perm],
     )
-    a = hausman_test(fit_fixed_effects(ds), fit_random_effects(ds))
-    b = hausman_test(fit_fixed_effects(permuted), fit_random_effects(permuted))
-    assert b.statistic == pytest.approx(a.statistic, rel=1e-8)
+    tight = WleConfig(tolerance=1e-13, max_iterations=500)
+    a = specification_tests(ds, wle_config=tight)[2]
+    b = specification_tests(permuted, wle_config=tight)[2]
+    for before, after in zip(a, b):
+        assert after.statistic == pytest.approx(before.statistic, rel=1e-8)
 
 
 def test_p_value_matches_sf_exactly():

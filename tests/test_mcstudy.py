@@ -31,6 +31,7 @@ from panelspec.mcstudy import (
     contaminate_random,
     generate,
     run_study,
+    specification_tests,
     standard_normal,
     study_to_csv,
     study_to_json,
@@ -142,7 +143,8 @@ def test_dgp_config_validation():
             DgpConfig(n_units=10, n_periods=4, **values)
     for sizes in ({"n_units": 2.5, "n_periods": 4},
                   {"n_units": 10, "n_periods": 2.5},
-                  {"n_units": 10, "n_periods": 4, "seed": 2.5}):
+                  {"n_units": 10, "n_periods": 4, "seed": 2.5},
+                  {"n_units": 10, "n_periods": 4, "seed": True}):
         with pytest.raises(ConfigurationError):
             DgpConfig(**sizes)
 
@@ -303,11 +305,23 @@ def test_run_study_matches_per_replication_pipeline(n_units, outliers):
         assert np.array_equal(study.statistics[kind], expected)
 
 
+def test_specification_tests_follow_kinds():
+    ds = generate(DgpConfig(n_units=30, n_periods=3, seed=9))
+    fe, re, tests = specification_tests(ds, (WEIGHTED_HAUSMAN, HAUSMAN))
+    assert [t.kind for t in tests] == [WEIGHTED_HAUSMAN, HAUSMAN]
+    assert tests[1].statistic == hausman_test(fe, re).statistic
+    for kinds in ((), ("bogus",), (HAUSMAN, "bogus")):
+        with pytest.raises(ConfigurationError):
+            specification_tests(ds, kinds)
+
+
 def test_run_study_validation():
     with pytest.raises(ValueError):
         run_study(_SMALL_DGP, s=0)
     with pytest.raises(ConfigurationError):
         run_study(_SMALL_DGP, s=2.5)
+    with pytest.raises(ConfigurationError):
+        run_study(_SMALL_DGP, s=True)
     with pytest.raises(ValueError):
         run_study(_SMALL_DGP, s=4, gamma_grid=())
     with pytest.raises(ValueError):

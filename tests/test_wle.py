@@ -358,6 +358,8 @@ def test_wle_config_validation():
         WleConfig(max_iterations=0)
     with pytest.raises(ConfigurationError):
         WleConfig(max_iterations=2.5)
+    with pytest.raises(ConfigurationError):
+        WleConfig(max_iterations=True)
     for tolerance in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError):
             WleConfig(tolerance=tolerance)
