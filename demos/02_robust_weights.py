@@ -14,7 +14,7 @@ from panelspec.mcstudy import (
     ContaminationConfig,
     DgpConfig,
     RANDOM_VERTICAL,
-    contaminate_random,
+    apply_contamination,
     generate,
     substream,
 )
@@ -24,7 +24,7 @@ dgp = DgpConfig(n_units=100, n_periods=3, beta=(1.0, -1.5), seed=7)
 rng = substream(dgp.seed, 0)
 clean = generate(dgp, rng)
 scheme = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
-dirty = contaminate_random(clean, scheme, rng)
+dirty = apply_contamination(clean, scheme, rng)
 planted = dirty.y != clean.y
 
 beta = np.array(dgp.beta)

@@ -14,7 +14,7 @@ from panelspec.mcstudy import (
     ContaminationConfig,
     DgpConfig,
     RANDOM_VERTICAL,
-    contaminate_random,
+    apply_contamination,
     generate,
     specification_tests,
     substream,
@@ -48,7 +48,7 @@ report("\nalternative panel (effects track X)", generate(alt_dgp))
 # statistic can lose positive definiteness; the eigenvalue repair then
 # fires and `repaired=True` flags the statistic as clamp-inflated.
 rng = substream(37, 0)
-dirty = contaminate_random(
+dirty = apply_contamination(
     generate(DgpConfig(n_units=100, n_periods=3, hypothesis=ALTERNATIVE,
                        seed=37), rng),
     ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15,

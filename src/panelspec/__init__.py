@@ -38,8 +38,7 @@ from .mcstudy import (
     ContaminationConfig,
     DgpConfig,
     StudyResult,
-    contaminate_concentrated,
-    contaminate_random,
+    apply_contamination,
     generate,
     run_study,
     study_to_csv,
@@ -111,8 +110,7 @@ __all__ = [
     "ContaminationConfig",
     "StudyResult",
     "generate",
-    "contaminate_random",
-    "contaminate_concentrated",
+    "apply_contamination",
     "run_study",
     "study_to_json",
     "study_to_csv",

@@ -179,8 +179,9 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     -------
     PanelDataset
         Units ordered by first appearance in the file; periods ordered
-        naturally (numerically when every time label parses as a
-        number, lexicographically otherwise).
+        numerically (ties by the label) when every time label parses
+        to a finite number, lexicographically otherwise, so ``9, 10``
+        but ``10, 9, a``.
 
     Raises
     ------
@@ -268,7 +269,7 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
                 units.append(unit)
             times.add(time)
 
-    time_list = sorted(times, key=_natural_key)
+    time_list = _period_order(times)
     for unit in units:
         for time in time_list:
             if (unit, time) not in cells:
@@ -291,16 +292,16 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     return PanelDataset(tuple(units), tuple(time_list), y, x)
 
 
-def _natural_key(label: str):
-    """Sort key: numeric value when the label parses, else the string.
-
-    A mixed set of numeric and non-numeric labels falls back to pure
-    lexicographic order via the leading discriminator.
-    """
+def _period_order(labels) -> list:
+    """Labels by numeric value, ties by the string, when every label
+    parses to a finite number; in lexicographic order otherwise."""
     try:
-        return (0, float(label), label)
+        keyed = [(float(label), label) for label in labels]
     except ValueError:
-        return (1, 0.0, label)
+        return sorted(labels)
+    if np.isfinite([value for value, _ in keyed]).all():
+        return [label for _, label in sorted(keyed)]
+    return sorted(labels)
 
 
 def to_stacked(dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,13 @@
 """Monte Carlo size and power studies for the specification tests.
 
 Provides the data-generating process under both hypotheses (exogenous
-and correlated unit effects), the two vertical-outlier contamination
-schemes, ``specification_tests``, the one fit-and-contrast sequence
-behind every replication and ``panelspec test``, ``run_study``, which
-runs it over many replications and tabulates rejection rates on a grid
-of nominal levels, and the JSON and CSV reports of a list of studies,
-which the library and ``panelspec simulate`` write alike.
+and correlated unit effects), ``apply_contamination``, which places
+either vertical-outlier scheme, ``specification_tests``, the one
+fit-and-contrast sequence behind every replication and ``panelspec
+test``, ``run_study``, which runs it over many replications and
+tabulates rejection rates on a grid of nominal levels, and the JSON and
+CSV reports of a list of studies, which the library and ``panelspec
+simulate`` write alike.
 
 Reproducibility contract: every replication draws from its own
 substream derived from ``(master seed, replication index)``, normal
@@ -61,8 +62,6 @@ __all__ = [
     "standard_normal",
     "substream",
     "generate",
-    "contaminate_random",
-    "contaminate_concentrated",
     "apply_contamination",
     "specification_tests",
     "run_study",
@@ -266,87 +265,49 @@ def _require_capacity(cfg: ContaminationConfig, n: int, t: int) -> int:
     return t
 
 
-def contaminate_random(
-    dataset: PanelDataset,
-    cfg: ContaminationConfig,
-    rng: np.random.Generator,
-) -> PanelDataset:
-    """Replace ``m`` distinct response cells, chosen uniformly.
-
-    Cell positions are drawn first (a permutation prefix over the
-    N*T cells in unit-major order), then the replacement values.
-    ``m = 0`` returns the dataset unchanged without consuming draws.
-
-    Raises
-    ------
-    TooManyOutliersError
-        ``m`` exceeds the number of cells.
-    """
-    if cfg.scheme != RANDOM_VERTICAL:
-        raise ConfigurationError(
-            f"expected scheme {RANDOM_VERTICAL!r}, got {cfg.scheme!r}"
-        )
-    n, t = dataset.y.shape
-    _require_capacity(cfg, n, t)
-    m = cfg.n_outliers
-    if m == 0:
-        return dataset
-    low, high = cfg.bounds()
-    cells = rng.permutation(n * t)[:m]
-    y = dataset.y.copy()
-    y.reshape(-1)[cells] = _uniform(rng, low, high, m)
-    return PanelDataset(dataset.unit_ids, dataset.time_ids, y, dataset.x)
-
-
-def contaminate_concentrated(
-    dataset: PanelDataset,
-    cfg: ContaminationConfig,
-    rng: np.random.Generator,
-) -> PanelDataset:
-    """Replace blocks of consecutive responses within chosen units.
-
-    The block length is ``b = ceil(T / 2)``, so every contaminated
-    unit has at least half its responses replaced, except possibly one
-    remainder unit that takes ``m mod b`` cells so that exactly ``m``
-    cells change. Draw order: unit selection (permutation prefix),
-    then per unit its block start, then its replacement values.
-
-    Raises
-    ------
-    TooManyOutliersError
-        ``m`` exceeds ``N * b``, the scheme's capacity.
-    """
-    if cfg.scheme != CONCENTRATED_VERTICAL:
-        raise ConfigurationError(
-            f"expected scheme {CONCENTRATED_VERTICAL!r}, got {cfg.scheme!r}"
-        )
-    n, t = dataset.y.shape
-    b = _require_capacity(cfg, n, t)
-    m = cfg.n_outliers
-    if m == 0:
-        return dataset
-    low, high = cfg.bounds()
-    full, rem = divmod(m, b)
-    chosen = rng.permutation(n)[: full + (1 if rem else 0)]
-    y = dataset.y.copy()
-    for j, unit in enumerate(chosen):
-        length = b if j < full else rem
-        start = int(rng.integers(0, t - length + 1))
-        y[unit, start : start + length] = _uniform(rng, low, high, length)
-    return PanelDataset(dataset.unit_ids, dataset.time_ids, y, dataset.x)
-
-
 def apply_contamination(
     dataset: PanelDataset,
     cfg: Optional[ContaminationConfig],
     rng: np.random.Generator,
 ) -> PanelDataset:
-    """Dispatch on ``cfg.scheme``; None or 'none' is a no-op."""
-    if cfg is None or cfg.scheme == NO_CONTAMINATION:
+    """Replace ``m = cfg.n_outliers`` responses by uniform draws.
+
+    The random scheme draws the cell positions first (a permutation
+    prefix over the N*T cells in unit-major order), then the values.
+    The concentrated one replaces blocks of ``b = ceil(T / 2)``
+    consecutive responses, so every contaminated unit has at least
+    half its responses replaced, except possibly one remainder unit
+    that takes ``m mod b`` cells so that exactly ``m`` cells change; it
+    draws the units (a permutation prefix), then per unit its block
+    start and its values. None, scheme 'none' and ``m = 0`` return the
+    dataset unchanged without consuming draws.
+
+    Raises
+    ------
+    TooManyOutliersError
+        ``m`` exceeds the scheme's capacity: ``N * T`` cells, or
+        ``N * b`` for the concentrated scheme.
+    """
+    if cfg is None:
         return dataset
+    n, t = dataset.y.shape
+    b = _require_capacity(cfg, n, t)
+    m = cfg.n_outliers
+    if m == 0:  # always so for scheme 'none'
+        return dataset
+    low, high = cfg.bounds()
+    y = dataset.y.copy()
     if cfg.scheme == RANDOM_VERTICAL:
-        return contaminate_random(dataset, cfg, rng)
-    return contaminate_concentrated(dataset, cfg, rng)
+        cells = rng.permutation(n * t)[:m]
+        y.reshape(-1)[cells] = _uniform(rng, low, high, m)
+    else:
+        full, rem = divmod(m, b)
+        chosen = rng.permutation(n)[: full + (1 if rem else 0)]
+        for j, unit in enumerate(chosen):
+            length = b if j < full else rem
+            start = int(rng.integers(0, t - length + 1))
+            y[unit, start : start + length] = _uniform(rng, low, high, length)
+    return PanelDataset(dataset.unit_ids, dataset.time_ids, y, dataset.x)
 
 
 @dataclass(frozen=True)

@@ -437,21 +437,20 @@ def weight_function(
     ``w = min(1, [A(delta) + 1]^+ / (delta + 1))``. Observations in
     perfect concordance (delta = 0) get weight 1; strongly surprising
     observations in either direction get weights near 0. The
-    ``IDENTITY`` adjustment gives weight 1 everywhere.
-
-    Non-finite ``delta`` (infinite surprise) maps to weight 0.
+    ``IDENTITY`` adjustment gives weight 1 everywhere, whatever
+    ``delta`` is; under ``HELLINGER`` a non-finite ``delta`` (infinite
+    surprise) maps to weight 0.
     """
     arr = np.asarray(delta, dtype=float)
-    finite = np.isfinite(arr)
-    safe = np.where(finite, arr, 0.0)
     if raf == IDENTITY:
-        adjusted = safe + 1.0
+        w = np.ones_like(arr)
     elif raf == HELLINGER:
-        adjusted = raf_hellinger(safe) + 1.0
+        finite = np.isfinite(arr)
+        safe = np.where(finite, arr, 0.0)
+        adjusted = np.maximum(0.0, raf_hellinger(safe) + 1.0)
+        w = np.where(finite, np.minimum(1.0, adjusted / (safe + 1.0)), 0.0)
     else:
         raise ConfigurationError(f"unknown raf {raf!r}")
-    w = np.minimum(1.0, np.maximum(0.0, adjusted) / (safe + 1.0))
-    w = np.where(finite, w, 0.0)
     if np.isscalar(delta):
         return float(w)
     return w

@@ -20,7 +20,7 @@ from panelspec.mcstudy import (
     RANDOM_VERTICAL,
     ContaminationConfig,
     DgpConfig,
-    contaminate_random,
+    apply_contamination,
     generate,
     substream,
 )
@@ -84,7 +84,7 @@ def main():
     outliers = ContaminationConfig(
         scheme=RANDOM_VERTICAL, n_outliers=15, low=4.0, high=8.0
     )
-    dirty = contaminate_random(dirty, outliers, rng)
+    dirty = apply_contamination(dirty, outliers, rng)
     write_csv(HERE / "contaminated_alt.csv", dirty)
 
     print("wrote", HERE / "fe_oracle.csv")

@@ -149,6 +149,20 @@ def test_natural_time_order(tmp_path):
     assert ds.time_ids == ("1", "2", "10")
 
 
+@pytest.mark.parametrize("labels, expected", [
+    (("10", "a", "9"), ("10", "9", "a")),
+    # "nan" parses to a float but is no finite number.
+    (("nan", "10", "3", "1", "2"), ("1", "10", "2", "3", "nan")),
+], ids=["mixed", "nan"])
+def test_time_order_lexicographic_unless_all_finite_numbers(
+    tmp_path, labels, expected
+):
+    rows = [f"{unit},{time},{i}.0,{i}.5"
+            for unit in "AB" for i, time in enumerate(labels)]
+    ds = load_long_csv(_write(tmp_path / "p.csv", rows), SCHEMA)
+    assert ds.time_ids == expected
+
+
 def test_intercept_column_rejected():
     ds = make_panel(4, 3, 2, seed=0)
     x = np.array(ds.x)

@@ -27,8 +27,6 @@ from panelspec.mcstudy import (
     ContaminationConfig,
     DgpConfig,
     apply_contamination,
-    contaminate_concentrated,
-    contaminate_random,
     generate,
     run_study,
     specification_tests,
@@ -183,7 +181,7 @@ def _clean_panel(seed):
 def test_random_contamination_replaces_exact_count():
     ds = _clean_panel(12)
     cfg = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
-    dirty = contaminate_random(ds, cfg, substream(12, 1))
+    dirty = apply_contamination(ds, cfg, substream(12, 1))
     mask = dirty.y != ds.y
     assert int(mask.sum()) == 15
     assert np.all(dirty.y[mask] >= 10.0)
@@ -195,28 +193,25 @@ def test_random_contamination_replaces_exact_count():
 def test_random_contamination_deterministic():
     ds = _clean_panel(13)
     cfg = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=9)
-    a = contaminate_random(ds, cfg, substream(13, 1))
-    b = contaminate_random(ds, cfg, substream(13, 1))
+    a = apply_contamination(ds, cfg, substream(13, 1))
+    b = apply_contamination(ds, cfg, substream(13, 1))
     assert np.array_equal(a.y, b.y)
 
 
 def test_random_contamination_noop_and_capacity():
     ds = _clean_panel(14)
     noop = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=0)
-    out = contaminate_random(ds, noop, substream(14, 1))
+    out = apply_contamination(ds, noop, substream(14, 1))
     assert np.array_equal(out.y, ds.y)
     over = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=301)
     with pytest.raises(TooManyOutliersError):
-        contaminate_random(ds, over, substream(14, 1))
-    with pytest.raises(ValueError):
-        bad = ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=2)
-        contaminate_random(ds, bad, substream(14, 1))
+        apply_contamination(ds, over, substream(14, 1))
 
 
 def test_concentrated_contamination_block_structure():
     ds = _clean_panel(15)
     cfg = ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=15)
-    dirty = contaminate_concentrated(ds, cfg, substream(15, 1))
+    dirty = apply_contamination(ds, cfg, substream(15, 1))
     mask = dirty.y != ds.y
     assert int(mask.sum()) == 15
     assert np.all(dirty.y[mask] >= 17.0)
@@ -234,26 +229,57 @@ def test_concentrated_contamination_noop_capacity_determinism():
     ds = _clean_panel(16)
     noop = ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=0)
     assert np.array_equal(
-        contaminate_concentrated(ds, noop, substream(16, 1)).y, ds.y
+        apply_contamination(ds, noop, substream(16, 1)).y, ds.y
     )
     over = ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=201)
     with pytest.raises(TooManyOutliersError):
-        contaminate_concentrated(ds, over, substream(16, 1))
+        apply_contamination(ds, over, substream(16, 1))
     cfg = ContaminationConfig(scheme=CONCENTRATED_VERTICAL, n_outliers=8)
-    a = contaminate_concentrated(ds, cfg, substream(16, 2))
-    b = contaminate_concentrated(ds, cfg, substream(16, 2))
+    a = apply_contamination(ds, cfg, substream(16, 2))
+    b = apply_contamination(ds, cfg, substream(16, 2))
     assert np.array_equal(a.y, b.y)
 
 
 def test_apply_contamination_dispatch():
+    # No scheme and no outliers return the dataset itself, drawing nothing.
     ds = _clean_panel(17)
-    assert apply_contamination(ds, None, substream(17, 1)) is ds
-    none_cfg = ContaminationConfig()
-    assert apply_contamination(ds, none_cfg, substream(17, 1)) is ds
-    rnd = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=4)
-    via_dispatch = apply_contamination(ds, rnd, substream(17, 2))
-    direct = contaminate_random(ds, rnd, substream(17, 2))
-    assert np.array_equal(via_dispatch.y, direct.y)
+    for cfg in (None, ContaminationConfig(),
+                ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=0)):
+        rng = substream(17, 1)
+        assert apply_contamination(ds, cfg, rng) is ds
+        assert rng.random() == substream(17, 1).random()
+
+
+# The exact cells and values each scheme replaces for one seed, so any
+# change to a scheme's draws or their order shows here.
+_PINNED_DRAWS = {
+    RANDOM_VERTICAL: (4, {
+        (0, 2): 15.014517133417531, (2, 1): 16.649372780349704,
+        (2, 3): 19.882994190432612, (4, 3): 22.278528267780153,
+    }),
+    # T = 5 gives blocks of 3: units 1 and 2 take one each, unit 0 the
+    # remainder cell.
+    CONCENTRATED_VERTICAL: (7, {
+        (0, 0): 17.287278024173684, (1, 0): 17.53876135378258,
+        (1, 1): 17.90654179117699, (1, 2): 17.328663599483217,
+        (2, 1): 17.52153014474372, (2, 2): 17.747804980692,
+        (2, 3): 17.629368111880147,
+    }),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_PINNED_DRAWS))
+def test_contamination_draws_are_pinned(scheme):
+    ds = generate(DgpConfig(n_units=6, n_periods=5, seed=3))
+    m, expected = _PINNED_DRAWS[scheme]
+    cfg = ContaminationConfig(scheme=scheme, n_outliers=m)
+    dirty = apply_contamination(ds, cfg, substream(3, 1))
+    replaced = {
+        (int(i), int(j)): float(dirty.y[i, j])
+        for i, j in np.argwhere(dirty.y != ds.y)
+    }
+    assert replaced == expected
+    assert np.array_equal(dirty.x, ds.x)
 
 
 _SMALL_DGP = DgpConfig(n_units=25, n_periods=4, seed=21)

@@ -18,12 +18,15 @@ from panelspec import (
     PanelDataset,
     WleConfig,
     fit_fixed_effects,
+    fit_random_effects,
     fit_weighted_fixed_effects,
+    hausman_test,
     kernel_density_at,
     pearson_residuals,
     raf_hellinger,
     smoothed_model_density,
     weight_function,
+    weighted_hausman_test,
 )
 from panelspec import wle
 from panelspec.wle import IDENTITY
@@ -34,7 +37,6 @@ from panelspec.mcstudy import (
     DgpConfig,
     RANDOM_VERTICAL,
     apply_contamination,
-    contaminate_random,
     generate,
     substream,
 )
@@ -311,7 +313,7 @@ def test_weight_function_values():
 
 
 def test_weight_function_identity_is_unit():
-    delta = np.array([-0.5, 0.0, 0.3, 4.0, 250.0])
+    delta = np.array([-0.5, 0.0, 0.3, 4.0, 250.0, np.inf])
     w = weight_function(delta, IDENTITY)
     assert np.all(w == 1.0)
 
@@ -394,6 +396,21 @@ def test_weighted_fit_identity_equals_within(n, t, k, seed):
     assert (wfe.iterations, wfe.distance_bound, wfe.converged) == (1, 0.0, True)
 
 
+def test_identity_weights_are_one_where_the_model_density_underflows():
+    # One response far out: its smoothed model density underflows, so
+    # its Pearson residual is infinite; the identity still weighs it 1.
+    ds = make_panel(2000, 4, 2, seed=40)
+    y = ds.y.copy()
+    y[0, 0] = 1e5
+    ds = PanelDataset(ds.unit_ids, ds.time_ids, y, ds.x)
+    fe, re = fit_fixed_effects(ds), fit_random_effects(ds)
+    wfe = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
+    assert np.all(wfe.weights == 1.0)
+    np.testing.assert_array_equal(wfe.beta, fe.beta)
+    assert weighted_hausman_test(wfe, re).statistic == pytest.approx(
+        hausman_test(fe, re).statistic, rel=1e-12)
+
+
 def test_weighted_fit_downweights_outliers_and_dominates():
     # Null DGP with 5 percent of responses replaced by large uniforms.
     beta = np.array([1.0, -1.5])
@@ -403,7 +420,7 @@ def test_weighted_fit_downweights_outliers_and_dominates():
     # One replication in detail: every replaced cell gets weight < 0.1.
     rng = substream(dgp.seed, 0)
     clean = generate(dgp, rng)
-    dirty = contaminate_random(clean, cc, rng)
+    dirty = apply_contamination(clean, cc, rng)
     mask = dirty.y != clean.y
     assert int(mask.sum()) == 15
     wfe = fit_weighted_fixed_effects(dirty)
@@ -415,7 +432,7 @@ def test_weighted_fit_downweights_outliers_and_dominates():
     reps = 200
     for r in range(reps):
         rng = substream(dgp.seed, r)
-        ds = contaminate_random(generate(dgp, rng), cc, rng)
+        ds = apply_contamination(generate(dgp, rng), cc, rng)
         fe_err = np.max(np.abs(fit_fixed_effects(ds).beta - beta))
         wfe_err = np.max(np.abs(fit_weighted_fixed_effects(ds).beta - beta))
         wins += wfe_err < fe_err
@@ -468,7 +485,7 @@ def test_weighted_fit_non_convergence_reported():
     dgp = DgpConfig(n_units=100, n_periods=3, seed=30)
     cc = ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=15)
     rng = substream(dgp.seed, 0)
-    ds = contaminate_random(generate(dgp, rng), cc, rng)
+    ds = apply_contamination(generate(dgp, rng), cc, rng)
     res = fit_weighted_fixed_effects(ds, WleConfig(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
