@@ -19,8 +19,6 @@ import sys
 from math import inf
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .data import ColumnSchema, load_long_csv
 from .estimators import (
     EstimateResult,
@@ -254,14 +252,10 @@ def _fit_doc(result: EstimateResult, regressors: Sequence[str]) -> dict:
         "n_units": int(result.residuals.shape[0]),
         "n_periods": int(result.residuals.shape[1]),
         "weights": (
-            [[float(w) for w in row] for row in result.weights]
-            if result.weights is not None
-            else None
+            result.weights.tolist() if result.weights is not None else None
         ),
         "min_weight": (
-            float(np.min(result.weights))
-            if result.weights is not None
-            else None
+            float(result.weights.min()) if result.weights is not None else None
         ),
     }
     return doc

@@ -9,6 +9,9 @@ a dataset in place.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -29,6 +32,9 @@ __all__ = [
     "load_long_csv",
     "to_stacked",
 ]
+
+# Records parsed per block: one block's raw fields are alive at a time.
+_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,9 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     Parameters
     ----------
     path : str or path-like
-        UTF-8 CSV file with a header row; a leading byte-order mark is
-        skipped.
+        UTF-8 CSV file with a header row, read in blocks of 1024
+        records; a leading byte-order mark is skipped. Of several bad
+        records, the first in the file is reported, with its line.
     schema : ColumnSchema
         Which columns hold the unit id, time id, response, and
         regressors.
@@ -225,71 +232,86 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
                 raise SchemaError(
                     f"{path}: column {c!r} repeats in header at fields {fields}"
                 )
-        idx = {c: header.index(c) for c in wanted}
+        pick = operator.itemgetter(*(header.index(c) for c in wanted))
 
-        cells: dict[tuple[str, str], tuple[float, list[float]]] = {}
-        units: list[str] = []
-        seen_units: set[str] = set()
-        times: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}:{lineno}: row has {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            unit = row[idx[schema.unit_col]].strip()
-            time = row[idx[schema.time_col]].strip()
-            key = (unit, time)
-            if key in cells:
-                raise DuplicateCellError(
-                    f"{path}:{lineno}: duplicate cell for unit {unit!r}, "
-                    f"time {time!r}"
-                )
-            vals = []
-            for col in (schema.y_col, *schema.x_cols):
-                raw = row[idx[col]].strip()
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise NonNumericValueError(
-                        f"{path}:{lineno}: column {col!r} value {raw!r} "
-                        "is not numeric"
-                    ) from None
-                if not np.isfinite(v):
-                    raise NonNumericValueError(
-                        f"{path}:{lineno}: column {col!r} value {raw!r} "
-                        "is not finite"
-                    )
-                vals.append(v)
-            cells[key] = (vals[0], vals[1:])
-            if unit not in seen_units:
-                seen_units.add(unit)
-                units.append(unit)
-            times.add(time)
+        # (line, record) pairs; the cells' order is the values' order.
+        numbered, cells, blocks = enumerate(reader, start=2), {}, []
+        while records := list(itertools.islice(numbered, _BLOCK_RECORDS)):
+            read = _read_block(records, pick, header, cells)
+            if read is None:
+                _raise_first_bad_record(path, records, pick, header, cells)
+            cells.update(read[0])
+            blocks.append(read[1])
+            del records  # before the next block is read
 
-    time_list = _period_order(times)
-    for unit in units:
-        for time in time_list:
-            if (unit, time) not in cells:
-                raise MissingCellError(
-                    f"{path}: unbalanced panel, no row for unit {unit!r} "
-                    f"at time {time!r}"
-                )
-
+    units = list(dict.fromkeys(unit for unit, _ in cells))
+    time_list = _period_order({time for _, time in cells})
     n, t, k = len(units), len(time_list), len(schema.x_cols)
+    if len(cells) < n * t:
+        unit, time = next((unit, time) for unit in units for time in time_list
+                          if (unit, time) not in cells)
+        raise MissingCellError(f"{path}: unbalanced panel, no row for unit "
+                               f"{unit!r} at time {time!r}")
     if n < 2 or t < 2 or n * (t - 1) <= k:
         raise TooFewUnitsOrPeriodsError(
             f"{path}: need N >= 2, T >= 2 and N(T-1) > K; "
             f"got N={n}, T={t}, K={k}"
         )
-    y = np.empty((n, t))
-    x = np.empty((n, t, k))
-    for i, unit in enumerate(units):
-        for j, time in enumerate(time_list):
-            y[i, j], x[i, j] = cells[(unit, time)]
+    row_of = {unit: i * t for i, unit in enumerate(units)}
+    period = {time: j for j, time in enumerate(time_list)}
+    table = np.empty((n * t, k + 1))
+    at = [row_of[unit] + period[time] for unit, time in cells]
+    table[at] = np.concatenate(blocks, axis=1).T
+    y, x = table[:, 0].reshape(n, t), table[:, 1:].reshape(n, t, k)
     return PanelDataset(tuple(units), tuple(time_list), y, x)
+
+
+def _read_block(records, pick, header, cells):
+    """A block's new cells and its values, shape (K+1, m) with the
+    response first; None if some record in it is bad."""
+    rows = [row for _, row in records if "".join(row).strip()]
+    if not set(map(len, rows)) <= {len(header)}:
+        return None
+    # An all-blank block has no fields to transpose.
+    units, times, *columns = (list(zip(*map(pick, rows)))
+                              or [()] * len(pick(header)))
+    block = dict.fromkeys(zip(map(str.strip, units), map(str.strip, times)))
+    if len(block) < len(rows) or not cells.keys().isdisjoint(block):
+        return None
+    try:
+        values = np.array([list(map(float, map(str.strip, c)))
+                           for c in columns])
+    except ValueError:
+        return None
+    return (block, values) if np.isfinite(values).all() else None
+
+
+def _raise_first_bad_record(path, records, pick, header, cells):
+    """Raise the error of the first bad record of a block that
+    :func:`_read_block` refused: a field count off the header's, then a
+    cell seen before, then a value not a finite number, in schema order."""
+    names, seen = pick(header)[2:], set(cells)
+    for lineno, row in records:
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: row has {len(row)} fields, "
+                              f"header has {len(header)}")
+        unit, time, *raws = map(str.strip, pick(row))
+        if (unit, time) in seen:
+            raise DuplicateCellError(f"{path}:{lineno}: duplicate cell for "
+                                     f"unit {unit!r}, time {time!r}")
+        seen.add((unit, time))
+        for col, raw in zip(names, raws):
+            try:
+                finite = math.isfinite(float(raw))
+            except ValueError:
+                raise NonNumericValueError(f"{path}:{lineno}: column {col!r} "
+                                           f"value {raw!r} is not numeric"
+                                           ) from None
+            if not finite:
+                raise NonNumericValueError(f"{path}:{lineno}: column {col!r} "
+                                           f"value {raw!r} is not finite")
 
 
 def _period_order(labels) -> list:

@@ -461,7 +461,7 @@ def _run_document(result: StudyResult) -> dict:
                     None if math.isnan(r) else r
                     for r in result.rejection_rates[kind]
                 ],
-                "statistics": [float(v) for v in result.statistics[kind]],
+                "statistics": result.statistics[kind].tolist(),
             }
             for kind in sorted(result.statistics)
         },

@@ -149,7 +149,7 @@ class WleConfig:
         current residual scale. Must be positive.
     max_iterations : int
         Cap on evaluations of the fixed-point map, each one kernel
-        density pass and one weighted least-squares solve.
+        density pass (none under ``IDENTITY``) and one weighted solve.
     tolerance : float
         Bound on the relative distance of the state ``(beta,
         sigma2_nu)`` to the fixed point, ``beta`` in sup-norm over
@@ -472,7 +472,9 @@ def _reweight(
     ``x' W resid = 0``.
     """
     n, k = x.shape
-    delta = pearson_residuals(y - x @ beta, math.sqrt(sigma2_nu), config)
+    # The identity weights never read delta: no kernel density pass.
+    delta = np.zeros(n) if config.raf == IDENTITY else pearson_residuals(
+        y - x @ beta, math.sqrt(sigma2_nu), config)
     weights = weight_function(delta, config.raf)
     sum_w = float(weights.sum())
     if sum_w <= k:

@@ -23,6 +23,8 @@ from panelspec.mcstudy import (
 )
 from panelspec.wle import WleConfig
 
+from helpers import make_panel, write_long_csv
+
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 DATA_FLAGS = ["--unit", "unit", "--time", "time", "--y", "y", "--x", "x1,x2"]
 
@@ -465,3 +467,24 @@ def test_contaminated_fixture_output_is_pinned(command):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout).hexdigest()
     assert digest == PINNED_FIXTURE_SHA256[command]
+
+
+# The same pins at the size of the benchmark's CSV workload: a 2000 x 4
+# panel is 8000 records, so the loader reads it in more than one block.
+PINNED_LARGE_SHA256 = {
+    ("fit", "--method", "wfe"):
+        "5cf6d8ff6394bf924aadfec6104787e9a1310e1317feaadb842ae9b4a9299df2",
+    ("test",):
+        "381dd8f150255f22e715ed2ec61884a30e221688187ac46cb7f7710e713b730f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_LARGE_SHA256))
+def test_large_panel_output_is_pinned(tmp_path, command):
+    data = tmp_path / "large.csv"
+    write_long_csv(data, make_panel(2000, 4, 2, seed=2000))
+    proc = run_cli(command[0], "--data", str(data), *DATA_FLAGS, *command[1:],
+                   text=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED_LARGE_SHA256[command]

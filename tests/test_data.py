@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from panelspec import (
     ColumnSchema,
@@ -18,7 +19,7 @@ from panelspec.exceptions import (
     TooFewUnitsOrPeriodsError,
 )
 
-from helpers import make_panel
+from helpers import PANEL_SHAPES, PROPERTY_SETTINGS, make_panel
 
 SCHEMA = ColumnSchema(unit_col="unit", time_col="time", y_col="y",
                       x_cols=("x1",))
@@ -94,6 +95,86 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match=r"'x1' repeats in header at "
                                           r"fields \[4, 5\]"):
         load_long_csv(dup, SCHEMA)
+
+
+def _past_first_block(bad_row, at):
+    """1500 units over 3 periods, row ``at`` (0-based) replaced."""
+    rows = [f"u{i},{t},{i}.{t},{t}.{i}" for i in range(1500) for t in (1, 2, 3)]
+    rows[at] = bad_row
+    return rows
+
+
+# The first bad record in file order wins; within one record the field
+# count is checked first, then the (unit, time) pair, then the value
+# columns in schema order. Line numbers count every record after the
+# header, skipped blank ones too.
+@pytest.mark.parametrize("rows, error, message", [
+    (["A,1,1,1", "A,1,2,2", "A,2,nan,1"], DuplicateCellError,
+     ":3: duplicate cell for unit 'A', time '1'"),
+    (["A,1,1,1", "A,2,inf,2", "A,1,2,2"], NonNumericValueError,
+     ":3: column 'y' value 'inf' is not finite"),
+    (["A,1,oops,1", "A,2,1"], NonNumericValueError,
+     ":2: column 'y' value 'oops' is not numeric"),
+    (["A,1,1,1", "", "  ,  ,,", "A,2,x,1"], NonNumericValueError,
+     ":5: column 'y' value 'x' is not numeric"),
+    (["A,1,1,1", "A,1,oops,1"], DuplicateCellError,
+     ":3: duplicate cell for unit 'A', time '1'"),
+    (["A,1,1,1", "A,2,1, 2e999 "], NonNumericValueError,
+     ":3: column 'x1' value '2e999' is not finite"),
+    (_past_first_block("u1400,1,1.0,-", 4200), NonNumericValueError,
+     ":4202: column 'x1' value '-' is not numeric"),
+    (_past_first_block(" u0 , 3 ,1.0,2.0", 4400), DuplicateCellError,
+     ":4402: duplicate cell for unit 'u0', time '3'"),
+    (_past_first_block("u1,1,1.0", 4096), SchemaError,
+     ":4098: row has 3 fields, header has 4"),
+    (["A,1,1,1", *[" , "] * 8191, "A,2,x,1"], NonNumericValueError,
+     ":8194: column 'y' value 'x' is not numeric"),
+], ids=["duplicate", "infinite", "value-before-width", "blank-records-count",
+        "duplicate-before-value", "overflow", "value-past-first-block",
+        "duplicate-across-blocks", "width-past-first-block",
+        "after-a-blank-block"])
+def test_first_bad_record_error_is_pinned(tmp_path, rows, error, message):
+    path = _write(tmp_path / "p.csv", rows)
+    with pytest.raises(error) as err:
+        load_long_csv(path, SCHEMA)
+    assert str(err.value) == f"{path}{message}"
+
+
+@PROPERTY_SETTINGS
+@given(**PANEL_SHAPES)
+@example(n=1100, t=4, k=2, seed=3)
+def test_csv_round_trip_is_exact(tmp_path_factory, n, t, k, seed):
+    ds = make_panel(n, t, k, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def pad(field):
+        # str.strip() takes "\x1f", which float() alone would refuse.
+        lead = rng.choice([" ", "\t", "\x1f"], rng.integers(3)).tolist()
+        return "".join(lead + [field] + [" "] * rng.integers(3))
+
+    header = ["unit", "time", "y"] + [f"x{j + 1}" for j in range(k)]
+    records = [
+        ",".join(pad(f) for f in [ds.unit_ids[i], str(ds.time_ids[s]),
+                                  *map(repr, [ds.y[i, s].item(),
+                                             *ds.x[i, s].tolist()])])
+        for i in range(n) for s in range(t)
+    ]
+    order = rng.permutation(n * t)
+    records = [records[r] for r in order]
+    for _ in range(rng.integers(5)):
+        blank = " " * rng.integers(3) + "," * rng.integers(k + 5)
+        records.insert(rng.integers(len(records) + 1), blank)
+    bom = "\ufeff" if rng.random() < 0.5 else ""
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_text(bom + ",".join(map(pad, header)) + "\n"
+                    + "\n".join(records) + "\n", encoding="utf-8")
+    got = load_long_csv(path, ColumnSchema("unit", "time", "y", header[3:]))
+    first = list(dict.fromkeys(int(r) // t for r in order))
+    assert got.unit_ids == tuple(ds.unit_ids[i] for i in first)
+    assert got.time_ids == tuple(str(s) for s in ds.time_ids)
+    assert np.array_equal(got.y, ds.y[first])
+    assert np.array_equal(got.x, ds.x[first])
+    assert got.x.flags.c_contiguous and got.y.flags.c_contiguous
 
 
 def test_too_small_panels(tmp_path):

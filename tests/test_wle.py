@@ -611,6 +611,19 @@ def test_each_iteration_is_one_kernel_pass_and_one_solve(
         assert fit.iterations == max_iterations
 
 
+def test_identity_fit_makes_no_kernel_pass(monkeypatch):
+    # The identity weights do not read the Pearson residuals, so the fit
+    # never estimates their density; it still weighs once and equals FE.
+    ds = _contaminated(RANDOM_VERTICAL, 30, 3)
+    kde = _count_calls(monkeypatch, "kernel_density_at")
+    weigh = _count_calls(monkeypatch, "weight_function")
+    fit = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
+    fe = fit_fixed_effects(ds)
+    assert (len(kde), len(weigh), fit.iterations) == (0, 1, 1)
+    np.testing.assert_array_equal(fit.beta, fe.beta)
+    np.testing.assert_array_equal(fit.residuals, fe.residuals)
+
+
 def test_extrapolation_step():
     # S3 from p, F(p), F(F(p)) of a linear map with rate 1/2 lands on its
     # fixed point (0, 1); alpha = -1 and sigma2 <= 0 give no state.
