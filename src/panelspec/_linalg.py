@@ -3,19 +3,49 @@
 All estimators route through :func:`lstsq_qr`, which factors the design
 by column-pivoted QR and refuses to solve near-singular systems instead
 of silently regularizing them. Explicit matrix inversion is avoided;
-the Gram inverse is assembled from the triangular factor.
+the Gram inverse is assembled from the triangular factor. LAPACK comes
+from scipy's f2py extension, loaded from its file: scipy's package
+``__init__``s would cost a fresh process about 0.4 s and 28 MB.
 """
 
 from __future__ import annotations
 
+import sys
+from importlib import import_module, machinery, util
+
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .exceptions import NonNumericValueError, RankDeficientDesignError
 
 # Relative pivot threshold: |R[j, j]| below RCOND times the largest pivot
 # marks the design as rank deficient.
 RCOND = 1e-10
+
+
+def _load_flapack(linalg_dir=None):
+    """``scipy.linalg._flapack`` from its file in ``linalg_dir`` (scipy's
+    ``linalg`` by default), or through scipy's ``__init__``s where it
+    cannot load alone (Windows wheels need the DLL directory they add)."""
+    # PathFinder locates scipy without running it or reading sys.modules.
+    scipy = machinery.PathFinder.find_spec("scipy")
+    spec = scipy and machinery.FileFinder(
+        linalg_dir or f"{scipy.submodule_search_locations[0]}/linalg",
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+    ).find_spec("scipy.linalg._flapack")
+    try:
+        module = util.module_from_spec(spec)  # AttributeError: spec is None
+        spec.loader.exec_module(module)
+    except (AttributeError, ImportError):
+        return import_module("scipy.linalg._flapack")
+    # The extension entered itself in sys.modules, where a later import
+    # of scipy.linalg must not find it ahead of its package.
+    if "scipy.linalg" not in sys.modules:
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dgeqp3, dorgqr, dtrtrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dtrtrs
 
 
 def _lapack(routine, *args):

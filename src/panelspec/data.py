@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -35,6 +36,7 @@ __all__ = [
 
 # Records parsed per block: one block's raw fields are alive at a time.
 _BLOCK_RECORDS = 1024
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # surrogate-escaped bytes
 
 
 @dataclass(frozen=True)
@@ -205,21 +207,18 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     TooFewUnitsOrPeriodsError
         The resulting panel violates the minimum-size bounds.
     """
-    try:
-        return _load_long_csv(path, schema)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     # utf-8-sig drops the byte-order mark that spreadsheet exports
-    # ("CSV UTF-8") put before the header.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    # ("CSV UTF-8") put before the header. A byte that is not UTF-8
+    # decodes to a lone surrogate, reported with its record's line.
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+        if _NOT_UTF8("".join(header)):
+            raise SchemaError(f"{path}:1: header is not UTF-8 text")
         wanted = [schema.unit_col, schema.time_col, schema.y_col, *schema.x_cols]
         missing = [c for c in wanted if c not in header]
         if missing:
@@ -269,8 +268,10 @@ def _load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
 def _read_block(records, pick, header, cells):
     """A block's new cells and its values, shape (K+1, m) with the
     response first; None if some record in it is bad."""
-    rows = [row for _, row in records if "".join(row).strip()]
-    if not set(map(len, rows)) <= {len(header)}:
+    lines = ["".join(row) for _, row in records]
+    rows = [row for (_, row), line in zip(records, lines) if line.strip()]
+    if (not set(map(len, rows)) <= {len(header)}
+            or not (text := "".join(lines)).isascii() and _NOT_UTF8(text)):
         return None
     # An all-blank block has no fields to transpose.
     units, times, *columns = (list(zip(*map(pick, rows)))
@@ -288,12 +289,14 @@ def _read_block(records, pick, header, cells):
 
 def _raise_first_bad_record(path, records, pick, header, cells):
     """Raise the error of the first bad record of a block that
-    :func:`_read_block` refused: a field count off the header's, then a
-    cell seen before, then a value not a finite number, in schema order."""
+    :func:`_read_block` refused: non-UTF-8 text, a field count off the
+    header's, a cell seen before, then values not finite, in schema order."""
     names, seen = pick(header)[2:], set(cells)
     for lineno, row in records:
         if not "".join(row).strip():
             continue
+        if _NOT_UTF8("".join(row)):
+            raise SchemaError(f"{path}:{lineno}: not UTF-8 text")
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: row has {len(row)} fields, "
                               f"header has {len(header)}")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import PanelDataset
 from .estimators import (
@@ -204,6 +203,7 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     sees 0 or 1. Unlike rejection samplers, consumption from the
     stream is one draw per variate on every platform.
     """
+    from scipy.special import ndtri  # here: fit and test need no scipy.special
     k = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
     u = (2.0 * k + 1.0) * (2.0 ** -54)
     return ndtri(u)

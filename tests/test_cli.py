@@ -455,7 +455,7 @@ PINNED_FIXTURE_SHA256 = {
     ("fit", "--method", "wfe"):
         "5ed15f861552145d6cbf5cfcc7e056e8bcd4b14a70e0bdac5f9c32dce472cae5",
     ("test",):
-        "6023f76caa050c32966c5bb43a3550fba55f89dc091765e9779e09af556f2ea8",
+        "4109acbf7544672cb8d9733f16b91c235934766df736dda49c641a1b5b8b2b3b",
 }
 
 
@@ -475,7 +475,7 @@ PINNED_LARGE_SHA256 = {
     ("fit", "--method", "wfe"):
         "5cf6d8ff6394bf924aadfec6104787e9a1310e1317feaadb842ae9b4a9299df2",
     ("test",):
-        "381dd8f150255f22e715ed2ec61884a30e221688187ac46cb7f7710e713b730f",
+        "9cb4919c4fc8adeccfb8e51ce4822ba18809ec0fd874d2a5d6dcfe366bd1cc9a",
 }
 
 

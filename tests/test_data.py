@@ -140,6 +140,43 @@ def test_first_bad_record_error_is_pinned(tmp_path, rows, error, message):
     assert str(err.value) == f"{path}{message}"
 
 
+def _with_bytes(rows, at, record):
+    """``rows`` encoded as UTF-8, with row ``at`` replaced by ``record``."""
+    rows = [row.encode() for row in rows]
+    rows[at] = record
+    return rows
+
+
+# A byte that is not UTF-8 makes its record bad like any other fault,
+# checked first within the record, so an earlier bad record still wins.
+@pytest.mark.parametrize("records, error, message", [
+    ([b"A,1,oops,1", b"A,2,1,1", b"\xff,3,1,1"], NonNumericValueError,
+     ":2: column 'y' value 'oops' is not numeric"),
+    ([b"A,1,1,1", b"A,1,2\xff,1"], SchemaError, ":3: not UTF-8 text"),
+    (_with_bytes(_past_first_block("u1400,1,1.0,-", 4200), 4300,
+                 b"u9,1,\xe9,1"), NonNumericValueError,
+     ":4202: column 'x1' value '-' is not numeric"),
+    (_with_bytes(_past_first_block("u1400,2,x,1", 4201), 4200,
+                 b"u1400,1,1.0,\xff\xfe"), SchemaError,
+     ":4202: not UTF-8 text"),
+], ids=["value-before-byte", "byte-before-duplicate", "value-past-first-block",
+        "byte-past-first-block"])
+def test_first_bad_record_may_be_bytes_not_utf8(tmp_path, records, error,
+                                                message):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\n".join([b"unit,time,y,x1", *records]) + b"\n")
+    with pytest.raises(error) as err:
+        load_long_csv(path, SCHEMA)
+    assert str(err.value) == f"{path}{message}"
+
+
+def test_header_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"unit,time,y,x\xb9\nA,1,1.0,0.5\n")
+    with pytest.raises(SchemaError, match=r"p.csv:1: header is not UTF-8"):
+        load_long_csv(path, SCHEMA)
+
+
 @PROPERTY_SETTINGS
 @given(**PANEL_SHAPES)
 @example(n=1100, t=4, k=2, seed=3)

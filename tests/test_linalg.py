@@ -1,5 +1,8 @@
 """The least-squares solver against scipy's QR path, bit for bit."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,3 +103,46 @@ def test_lstsq_qr_rejects_non_finite_inputs(bad, where):
         y[3] = bad
     with pytest.raises(NonNumericValueError, match="not finite"):
         lstsq_qr(x, y)
+
+
+def _in_fresh_interpreter(script):
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+_SOLVE = """
+import sys
+import numpy as np
+from panelspec import _linalg
+rng = np.random.default_rng(5)
+x, y = rng.normal(size=(300, 3)), rng.normal(size=300)
+before = _linalg.lstsq_qr(x, y)
+"""
+_SAME_BITS = """
+assert all(np.array_equal(a, b) for a, b in zip(before, after))
+"""
+
+
+def test_solver_bits_survive_a_later_scipy_import():
+    # Importing scipy.linalg loads the LAPACK extension through scipy's
+    # package __init__, after _linalg loaded it from its file.
+    _in_fresh_interpreter(_SOLVE + """
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert scipy.linalg._flapack.__name__ == "scipy.linalg._flapack"
+after = _linalg.lstsq_qr(x, y)
+""" + _SAME_BITS)
+
+
+def test_loader_falls_back_to_the_package_import():
+    _in_fresh_interpreter(_SOLVE + """
+assert "scipy.linalg" not in sys.modules
+flapack = _linalg._load_flapack("/nonexistent/scipy/linalg")
+assert "scipy.linalg" in sys.modules
+assert flapack.__name__ == "scipy.linalg._flapack"
+_linalg.dgeqp3 = flapack.dgeqp3
+_linalg.dorgqr = flapack.dorgqr
+_linalg.dtrtrs = flapack.dtrtrs
+after = _linalg.lstsq_qr(x, y)
+""" + _SAME_BITS)

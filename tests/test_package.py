@@ -1,10 +1,16 @@
 """The package's public surface."""
 
+import json
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import panelspec
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 # Adding or removing a public name is an API change: edit this list with it.
 PUBLIC_NAMES = [
@@ -39,3 +45,43 @@ def test_submodule_all_names_resolve(module):
     # A name left in __all__ after its definition is gone makes
     # ``from panelspec.<module> import *`` raise AttributeError.
     exec(f"from panelspec.{module} import *", {})
+
+
+def _scipy_modules_after(script):
+    """Run ``script`` in a fresh interpreter; return the names of the
+    ``scipy`` modules it left loaded."""
+    proc = subprocess.run([sys.executable, "-c", script + """
+import json
+print(json.dumps([name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "scipy" and module is not None]))
+"""], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_fit_and_test_import_no_scipy_package():
+    # With the scipy packages blocked, any import of them raises; only
+    # scipy's LAPACK extension, loaded from its file, may be present.
+    flags = ["--data", str(FIXTURES / "fe_oracle.csv"), "--unit", "unit",
+             "--time", "time", "--y", "y", "--x", "x1,x2"]
+    loaded = _scipy_modules_after(f"""
+import contextlib, io, sys
+for name in ("scipy", "scipy.linalg", "scipy.special"):
+    sys.modules[name] = None
+import panelspec
+from panelspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({["fit", *flags, "--method", "wfe"]!r}) == 0
+    assert cli.main({["test", *flags]!r}) == 0
+""")
+    assert loaded <= {"scipy.linalg._flapack"}
+
+
+def test_simulate_imports_scipy_special():
+    loaded = _scipy_modules_after("""
+import contextlib, io, sys
+from panelspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--s", "1"]) == 0
+""")
+    assert "scipy.special" in loaded
