@@ -11,10 +11,11 @@ import numpy as np
 
 from panelspec import (
     PanelDataset,
-    estimate_variance_components,
     fit_fixed_effects,
     fit_pooled_ols,
     fit_random_effects,
+    quasi_demean,
+    within_transform,
 )
 
 # A 60-unit, 5-period panel: y = x1 - 1.5 x2 + alpha_i + eps.
@@ -29,23 +30,28 @@ panel = PanelDataset(
 )
 
 print("true slopes:", beta)
-for fit in (fit_pooled_ols(panel), fit_fixed_effects(panel),
-            fit_random_effects(panel)):
+# Pooled OLS and the within fit are GLS at theta = 0 and theta = 1; the
+# random-effects fit sits between them at its estimated theta.
+re = fit_random_effects(panel)
+for theta, fit in ((0.0, fit_pooled_ols(panel)),
+                   (re.variance_components.theta, re),
+                   (1.0, fit_fixed_effects(panel))):
     with np.printoptions(precision=4):
-        print(f"{fit.method:>15}: beta {fit.beta}  "
+        print(f"{fit.method:>15} (theta {theta:.4f}): beta {fit.beta}  "
               f"se {fit.std_errors()}  R^2 {fit.r_squared:.3f}")
 
 # The variance components behind the GLS fit. theta near 1 means the
 # unit effects dominate and GLS behaves like the within estimator;
 # theta near 0 recovers pooled OLS.
-vc = estimate_variance_components(panel)
+vc = re.variance_components
 print(f"\nsigma2_eps {vc.sigma2_eps:.4f}  sigma2_alpha {vc.sigma2_alpha:.4f}"
       f"  theta {vc.theta:.4f}")
 
-# Forcing theta to its endpoints reproduces the other two estimators.
-at_zero = fit_random_effects(panel, theta=0.0)
-at_one = fit_random_effects(panel, theta=1.0)
-print("theta=0 gap to pooled:",
-      float(np.max(np.abs(at_zero.beta - fit_pooled_ols(panel).beta))))
-print("theta=1 gap to within:",
-      float(np.max(np.abs(at_one.beta - fit_fixed_effects(panel).beta))))
+# The endpoints hold in the transformation itself: quasi-demeaning by
+# 0 returns the data, by 1 it is the within transformation.
+at_zero, at_one = quasi_demean(panel, 0.0), quasi_demean(panel, 1.0)
+within = within_transform(panel)
+print("theta=0 returns the data:", np.array_equal(at_zero.y, panel.y)
+      and np.array_equal(at_zero.x, panel.x))
+print("theta=1 equals within:", np.array_equal(at_one.y, within.y)
+      and np.array_equal(at_one.x, within.x))

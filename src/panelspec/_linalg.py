@@ -48,12 +48,6 @@ _flapack = _load_flapack()
 dgeqp3, dorgqr, dtrtrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dtrtrs
 
 
-def _lapack(routine, *args):
-    """``routine(*args)`` in place, sized by scipy's ``lwork=-1`` query."""
-    lwork = int(routine(*args, lwork=-1)[-2][0])
-    return routine(*args, lwork=lwork, overwrite_a=1)[:-2]
-
-
 def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``min ||x b - y||`` and return ``(b, (x'x)^-1)``.
 
@@ -85,7 +79,8 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficientDesignError(f"design has {n} rows but {k} columns")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonNumericValueError("overflow: least-squares input not finite")
-    packed, jpvt, tau = _lapack(dgeqp3, np.array(x, order="F"))
+    # Default workspace: up to 128 columns LAPACK runs unblocked code anyway.
+    packed, jpvt, tau, _, _ = dgeqp3(np.array(x, order="F"), overwrite_a=1)
     diag = np.abs(packed.diagonal())
     if not np.isfinite(diag).all():
         raise NonNumericValueError(
@@ -98,7 +93,7 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     # dtrtrs reads only R's triangle of packed; dorgqr then overwrites it.
     r_inv, _ = dtrtrs(packed, np.eye(k, order="F"), overwrite_b=1)
-    (q,) = _lapack(dorgqr, packed, tau)
+    q, _, _ = dorgqr(packed, tau, overwrite_a=1)
     inv = np.argsort(jpvt)  # column j of x is pivoted column inv[j]
     beta = (r_inv @ (q.T @ y))[inv]
     gram_inv = (r_inv @ r_inv.T)[inv[:, np.newaxis], inv]

@@ -147,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which specification test(s) to run (default both)",
     )
     _add_wle_flags(p_test)
-    p_test.add_argument(
-        "--force-theta", type=float, default=None,
-        help="override the estimated quasi-demeaning fraction "
-        "(testing hook)",
-    )
     p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
 
@@ -291,7 +286,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     wle_config = _wle_config(args)
     dataset = _load(args)
     fe, re, records = specification_tests(
-        dataset, _WHICH[args.which], wle_config, args.force_theta
+        dataset, _WHICH[args.which], wle_config
     )
     if args.format == "json":
         doc = {

@@ -179,7 +179,7 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     path : str or path-like
         UTF-8 CSV file with a header row, read in blocks of 1024
         records; a leading byte-order mark is skipped. Of several bad
-        records, the first in the file is reported, with its line.
+        records, the first in the file is reported, with its first line.
     schema : ColumnSchema
         Which columns hold the unit id, time id, response, and
         regressors.
@@ -233,12 +233,13 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
                 )
         pick = operator.itemgetter(*(header.index(c) for c in wanted))
 
-        # (line, record) pairs; the cells' order is the values' order.
-        numbered, cells, blocks = enumerate(reader, start=2), {}, []
-        while records := list(itertools.islice(numbered, _BLOCK_RECORDS)):
+        # The cells' order is the values' order.
+        cells, blocks = {}, []
+        while records := list(itertools.islice(reader, _BLOCK_RECORDS)):
             read = _read_block(records, pick, header, cells)
             if read is None:
-                _raise_first_bad_record(path, records, pick, header, cells)
+                _raise_first_bad_record(path, reader.line_num, records, pick,
+                                        header, cells)
             cells.update(read[0])
             blocks.append(read[1])
             del records  # before the next block is read
@@ -268,8 +269,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
 def _read_block(records, pick, header, cells):
     """A block's new cells and its values, shape (K+1, m) with the
     response first; None if some record in it is bad."""
-    lines = ["".join(row) for _, row in records]
-    rows = [row for (_, row), line in zip(records, lines) if line.strip()]
+    lines = ["".join(row) for row in records]
+    rows = [row for row, line in zip(records, lines) if line.strip()]
     if (not set(map(len, rows)) <= {len(header)}
             or not (text := "".join(lines)).isascii() and _NOT_UTF8(text)):
         return None
@@ -287,12 +288,16 @@ def _read_block(records, pick, header, cells):
     return (block, values) if np.isfinite(values).all() else None
 
 
-def _raise_first_bad_record(path, records, pick, header, cells):
+def _raise_first_bad_record(path, end, records, pick, header, cells):
     """Raise the error of the first bad record of a block that
     :func:`_read_block` refused: non-UTF-8 text, a field count off the
-    header's, a cell seen before, then values not finite, in schema order."""
+    header's, a cell seen before, then values not finite, in schema order.
+    Its line is counted back from ``end``, the block's last line, over
+    the line breaks kept in quoted fields, which ``newline=""`` splits at."""
     names, seen = pick(header)[2:], set(cells)
-    for lineno, row in records:
+    spans = [1 + len(re.findall("\r\n?|\n", ",".join(row))) for row in records]
+    starts = itertools.accumulate(spans, initial=end + 1 - sum(spans))
+    for lineno, row in zip(starts, records):
         if not "".join(row).strip():
             continue
         if _NOT_UTF8("".join(row)):

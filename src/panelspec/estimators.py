@@ -10,7 +10,7 @@ pair of fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -273,9 +273,7 @@ def estimate_variance_components(dataset: PanelDataset) -> VarianceComponents:
     )
 
 
-def fit_random_effects(
-    dataset: PanelDataset, theta: Optional[float] = None
-) -> EstimateResult:
+def fit_random_effects(dataset: PanelDataset) -> EstimateResult:
     """Feasible GLS (random-effects) estimator.
 
     Estimates the variance components, quasi-demeans the data by the
@@ -285,33 +283,21 @@ def fit_random_effects(
     covariance comparable to the within estimator's in the
     specification tests.
 
-    Parameters
-    ----------
-    dataset : PanelDataset
-    theta : float, optional
-        Forces the quasi-demeaning fraction instead of the estimated
-        one (testing hook). Variance components are still estimated
-        and recorded. ``theta = 1`` reproduces the within fit exactly;
-        ``theta = 0`` reproduces pooled OLS coefficients.
-
     Raises
     ------
     InsufficientDegreesOfFreedomError
         Variance components are not estimable.
     RankDeficientDesignError
         A design matrix along the way is collinear.
-    ThetaOutOfRangeError
-        A forced ``theta`` lies outside [0, 1].
     ZeroTotalVariationError
         The quasi-demeaned response has no variation.
     """
     vc = estimate_variance_components(dataset)
-    used_theta = vc.theta if theta is None else float(theta)
     return _fit_result(
         RANDOM_EFFECTS,
         dataset.n_units,
-        _ols(quasi_demean(dataset, used_theta)),
+        _ols(quasi_demean(dataset, vc.theta)),
         sigma2_eps=vc.sigma2_eps,
         sigma2_alpha=vc.sigma2_alpha,
-        variance_components=replace(vc, theta=used_theta),
+        variance_components=vc,
     )

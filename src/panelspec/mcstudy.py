@@ -353,20 +353,18 @@ def specification_tests(
     dataset: PanelDataset,
     kinds: Sequence[str] = (HAUSMAN, WEIGHTED_HAUSMAN),
     wle_config: Optional[WleConfig] = None,
-    theta: Optional[float] = None,
 ) -> tuple[EstimateResult, EstimateResult, list[TestResult]]:
     """Fit FE and RE once, and WFE for ``WEIGHTED_HAUSMAN`` only; return
     ``(fe, re, tests)``, one test per entry of ``kinds``, in its order.
 
-    ``theta`` forces RE's quasi-demeaning fraction (testing hook); an
-    empty ``kinds`` or an unknown kind raises ``ConfigurationError``.
+    An empty ``kinds`` or an unknown kind raises ``ConfigurationError``.
     """
     # Looked up per call, so a wrapper set on this module sees the calls.
     tests = {HAUSMAN: hausman_test, WEIGHTED_HAUSMAN: weighted_hausman_test}
     if not kinds or not set(kinds) <= tests.keys():
         raise ConfigurationError(f"unknown or no test kinds: {kinds!r}")
     fe = fit_fixed_effects(dataset)
-    re = fit_random_effects(dataset, theta=theta)
+    re = fit_random_effects(dataset)
     robust = {HAUSMAN: fe}
     if WEIGHTED_HAUSMAN in kinds:
         wfe = fit_weighted_fixed_effects(dataset, wle_config)

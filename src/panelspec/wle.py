@@ -419,7 +419,7 @@ def raf_hellinger(delta: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         Any ``delta <= -1``.
     """
     arr = np.asarray(delta, dtype=float)
-    if np.any(arr[np.isfinite(arr)] <= -1.0) or np.any(np.isnan(arr)):
+    if np.any(np.isnan(arr) | (arr <= -1.0)):
         raise DeltaOutOfRangeError(
             "Pearson residuals must exceed -1"
         )

@@ -308,15 +308,6 @@ def test_which_selects_single_record():
     assert [t["kind"] for t in doc["tests"]] == ["weighted_hausman"]
 
 
-def test_forced_theta_degenerates_both_tests():
-    doc = _test_report("--force-theta", "1.0", "--raf", "identity",
-                       data=FIXTURES / "fe_oracle.csv")
-    assert doc["theta"] == 1.0
-    for record in doc["tests"]:
-        assert abs(record["statistic"]) < 1e-10
-        assert record["p_value"] > 1.0 - 1e-12
-
-
 def test_test_csv_projection():
     proc = run_cli("test", "--data", str(FIXTURES / "contaminated_alt.csv"),
                    *DATA_FLAGS, "--format", "csv")

@@ -140,6 +140,31 @@ def test_first_bad_record_error_is_pinned(tmp_path, rows, error, message):
     assert str(err.value) == f"{path}{message}"
 
 
+def _noted_past_first_block():
+    """``_past_first_block`` with a note column: row 1500's note spans
+    three lines, and row 4200, bad in x1, has a two-line note."""
+    rows = [row + ",n" for row in _past_first_block("u1400,1,1.0,-", 4200)]
+    rows[1500] = rows[1500][:-1] + '"a\nb\nc"'
+    rows[4200] = rows[4200][:-1] + '"d\ne"'
+    return rows
+
+
+# A quoted field may span lines; the message names the physical line on
+# which the bad record starts.
+@pytest.mark.parametrize("rows, message", [
+    (['A,1,1,1,"two\nlines"', "A,2,oops,1,x"],
+     ":4: column 'y' value 'oops' is not numeric"),
+    (['A,1,1,1,"two\nlines"', "A,2,oops,1,x", 'A,3,1,1,"\r\nthree\rlines"'],
+     ":4: column 'y' value 'oops' is not numeric"),
+    (_noted_past_first_block(), ":4204: column 'x1' value '-' is not numeric"),
+], ids=["first-block", "cr-and-crlf", "later-block"])
+def test_bad_record_line_counts_lines_not_records(tmp_path, rows, message):
+    path = _write(tmp_path / "p.csv", rows, header="unit,time,y,x1,note")
+    with pytest.raises(NonNumericValueError) as err:
+        load_long_csv(path, SCHEMA)
+    assert str(err.value) == f"{path}{message}"
+
+
 def _with_bytes(rows, at, record):
     """``rows`` encoded as UTF-8, with row ``at`` replaced by ``record``."""
     rows = [row.encode() for row in rows]

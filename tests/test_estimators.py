@@ -2,6 +2,7 @@
 
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -175,7 +176,9 @@ def test_random_effects_near_fixed_effects_under_null():
 @example(n=30, t=4, k=2, seed=12)
 def test_random_effects_forced_theta_one_equals_within(n, t, k, seed):
     ds = make_panel(n, t, k, seed=seed)
-    re = fit_random_effects(ds, theta=1.0)
+    # A module-global seam: hypothesis does not mix with monkeypatch.
+    with patch.object(estimators, "compute_theta", return_value=1.0):
+        re = fit_random_effects(ds)
     fe = fit_fixed_effects(ds)
     assert np.allclose(re.beta, fe.beta, atol=1e-10)
     assert re.variance_components.theta == 1.0

@@ -1,6 +1,7 @@
 """Specification tests and chi-square tails."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from panelspec import (
     hausman_test,
     weighted_hausman_test,
 )
+from panelspec import estimators
 from panelspec.estimators import (
     FIXED_EFFECTS,
     RANDOM_EFFECTS,
@@ -136,7 +138,8 @@ def test_hausman_negative_difference_repaired():
 def test_hausman_identical_fits_forced_theta():
     ds = make_panel(30, 4, 2, seed=40)
     fe = fit_fixed_effects(ds)
-    re = fit_random_effects(ds, theta=1.0)
+    with patch.object(estimators, "compute_theta", return_value=1.0):
+        re = fit_random_effects(ds)
     out = hausman_test(fe, re)
     assert np.all(out.q == 0.0)
     assert out.statistic == 0.0

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import argparse
 import json
 import pathlib
 import pkgutil
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import panelspec
+from panelspec import cli
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -31,10 +33,36 @@ PUBLIC_NAMES = [
 ]
 
 
+# Each subcommand's options, help aside. Adding a knob is an interface
+# change too: edit this list with it.
+CLI_OPTIONS = {
+    "fit": ["--data", "--format", "--kappa", "--max-iter", "--method",
+            "--raf", "--time", "--tol", "--unit", "--x", "--y"],
+    "test": ["--data", "--format", "--kappa", "--max-iter", "--raf",
+             "--time", "--tol", "--unit", "--which", "--x", "--y"],
+    "simulate": ["--beta", "--contamination", "--format", "--gammas",
+                 "--high", "--hypothesis", "--kappa", "--low", "--m",
+                 "--max-iter", "--n", "--out", "--paper-figure", "--raf",
+                 "--s", "--seed", "--t", "--tau", "--tol"],
+}
+
+
 def test_public_names_are_pinned_and_resolve():
     assert sorted(panelspec.__all__) == PUBLIC_NAMES
     for name in panelspec.__all__:
         assert getattr(panelspec, name) is not None, name
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        name: sorted(flag for action in parser._actions
+                     if action.dest != "help"
+                     for flag in action.option_strings)
+        for name, parser in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("module", sorted(

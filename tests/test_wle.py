@@ -304,6 +304,14 @@ def test_raf_hellinger_values():
         raf_hellinger(np.array([0.0, -1.5]))
 
 
+def test_raf_hellinger_rejects_minus_infinity():
+    # -inf is <= -1 like any other delta out of range, not a nan result.
+    with pytest.raises(DeltaOutOfRangeError):
+        raf_hellinger(-np.inf)
+    with pytest.raises(DeltaOutOfRangeError):
+        raf_hellinger(np.array([0.0, np.inf, -np.inf]))
+
+
 def test_weight_function_values():
     assert weight_function(0.0) == 1.0
     assert weight_function(3.0) == 0.75
