@@ -256,6 +256,27 @@ def _fit_doc(result: EstimateResult, regressors: Sequence[str]) -> dict:
     return doc
 
 
+def _fit_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for a fit report.
+
+    json's indent encoder is pure Python, slow on the N x T weights; each of
+    their rows fills a template of ``%r``, json's ``float.__repr__``, here.
+    """
+    items = []
+    for key, value in doc.items():
+        if key == "weights" and value:
+            row = ",\n      ".join(["%r"] * len(value[0]))
+            row = f"[\n      {row}\n    ]" if row else "[]"
+            rows = ",\n    ".join([row % tuple(r) for r in value])
+            text = f"[\n    {rows}\n  ]"
+            if "n" in text:  # repr's nan, inf and -inf, spelled as json's
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     """Estimate one model and print the result."""
     wle_config = _wle_config(args)
@@ -265,7 +286,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         result = _METHODS[args.method](dataset)
     if args.format == "json":
-        _print(json.dumps(_fit_doc(result, args.x), indent=2) + "\n")
+        _print(_fit_json(_fit_doc(result, args.x)))
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

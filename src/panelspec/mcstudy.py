@@ -198,15 +198,16 @@ def substream(seed: int, replication: int) -> np.random.Generator:
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normals by inverse CDF from 53-bit uniforms.
 
-    The uniform is ``(2k + 1) / 2^54`` for a 53-bit integer ``k``, so
-    it lies strictly inside (0, 1) and the quantile function never
-    sees 0 or 1. Unlike rejection samplers, consumption from the
-    stream is one draw per variate on every platform.
+    The uniform is ``(2k + 1) / 2^54`` for a 53-bit integer ``k``, on the
+    2^-53 grid from ``k = 2^52`` on, and clamped below 1, which the top
+    ``k`` rounds to; so the quantile function never sees 0 or 1. Unlike
+    rejection samplers, consumption from the stream is one draw per
+    variate on every platform.
     """
     from scipy.special import ndtri  # here: fit and test need no scipy.special
     k = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
     u = (2.0 * k + 1.0) * (2.0 ** -54)
-    return ndtri(u)
+    return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))  # nextafter(1, 0)
 
 
 def _uniform(

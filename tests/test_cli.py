@@ -11,6 +11,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from panelspec import cli
 from panelspec.mcstudy import (
@@ -91,6 +92,44 @@ def test_fit_reports_its_distance_bound(method, extra, converged):
     else:
         assert doc["converged"] is converged
         assert (0.0 <= doc["distance_bound"] < 1e-10) == converged
+
+
+# Floats json spells apart from repr, or that the shortest repr writes
+# in an unusual form; regressor names json must quote or escape.
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 3.0])
+_NAMES = st.text(alphabet='x1 "\\/\n\té\u2603\U0001f600', min_size=1)
+
+
+@st.composite
+def _fit_docs(draw):
+    n, t = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    rows = st.lists(_FLOATS, min_size=t, max_size=t)
+    weights = draw(st.none() | st.lists(rows, min_size=n, max_size=n))
+    k = draw(st.integers(1, 3))
+    floats = st.lists(_FLOATS, min_size=k, max_size=k)
+    maybe = _FLOATS | st.none()
+    return {
+        "method": draw(st.sampled_from(["fixed_effects", "random_effects"])),
+        "regressors": draw(st.lists(_NAMES, min_size=k, max_size=k)),
+        "beta": draw(floats), "std_errors": draw(floats),
+        "sigma2_eps": draw(_FLOATS), "sigma2_alpha": draw(_FLOATS),
+        "theta": draw(maybe), "rss": draw(_FLOATS), "r_squared": draw(_FLOATS),
+        "converged": draw(st.booleans()),
+        "iterations": draw(st.integers(0, 500)),
+        "distance_bound": draw(maybe), "n_units": n, "n_periods": t,
+        "weights": weights,
+        "min_weight": None if weights is None else draw(maybe),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_fit_docs())
+@example(doc={"weights": [[1.0, 0.1, -0.0], [5e-324, 1e16, float("nan")],
+                          [float("inf"), -float("inf"), 2.0]]})
+@example(doc={"regressors": ['a"b', "\u00e9"], "weights": None})
+def test_fit_report_writer_is_json_dumps(doc):
+    assert cli._fit_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_fit_reads_a_byte_order_mark(tmp_path):
@@ -458,6 +497,24 @@ def test_contaminated_fixture_output_is_pinned(command):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout).hexdigest()
     assert digest == PINNED_FIXTURE_SHA256[command]
+
+
+# The one-shot fits on the same fixture, whose reports carry no weights.
+PINNED_UNWEIGHTED_FIT_SHA256 = {
+    "pooled": "ac27bdfda8672e54f78deabb8ef818f920208d069b26f359c537a0589e36b4b5",
+    "fe": "367d6deac0530519774d6c216cc2cf162fac8ea94b00fd7f12d4f623be8dc3fd",
+    "re": "0a629ded875a814be51fa9cbb4598d97ce73d7eef9d9738d4225ca448bfeb1d0",
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_UNWEIGHTED_FIT_SHA256))
+def test_unweighted_fit_output_is_pinned(method):
+    data = FIXTURES / "contaminated_alt.csv"
+    proc = run_cli("fit", "--data", str(data), *DATA_FLAGS, "--method", method,
+                   text=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED_UNWEIGHTED_FIT_SHA256[method]
 
 
 # The same pins at the size of the benchmark's CSV workload: a 2000 x 4

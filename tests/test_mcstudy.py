@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_standard_normal_moments_and_determinism():
     assert np.all(np.isfinite(z1))
     assert abs(z1.mean()) < 0.01
     assert abs(z1.var() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("k", [0, (1 << 53) - 1])
+def test_standard_normal_is_finite_at_the_extreme_draws(k):
+    # A generator stub whose every draw is k; (2k + 1) / 2^54 rounds to
+    # exactly 1.0 at k = 2^53 - 1.
+    rng = SimpleNamespace(
+        integers=lambda low, high, size, dtype: np.full(size, k, dtype=dtype))
+    z = standard_normal(rng, 3)
+    assert np.all(np.isfinite(z))
+    assert np.all(z > 8.0) if k else np.all(z < -8.0)
 
 
 def test_generate_null_reproducible_and_shaped():
