@@ -52,7 +52,6 @@ from .transforms import (
 )
 from .wle import (
     HELLINGER,
-    IDENTITY,
     WleConfig,
     fit_weighted_fixed_effects,
     kernel_density_at,
@@ -87,7 +86,6 @@ __all__ = [
     "fit_random_effects",
     "estimate_variance_components",
     "HELLINGER",
-    "IDENTITY",
     "WleConfig",
     "kernel_density_at",
     "smoothed_model_density",

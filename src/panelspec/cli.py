@@ -41,7 +41,7 @@ from .mcstudy import (
     study_to_csv,
     study_to_json,
 )
-from .wle import HELLINGER, IDENTITY, WleConfig, fit_weighted_fixed_effects
+from .wle import HELLINGER, WleConfig, fit_weighted_fixed_effects
 
 __all__ = ["main", "build_parser", "cmd_fit", "cmd_test", "cmd_simulate"]
 
@@ -109,9 +109,9 @@ def _add_wle_flags(parser: argparse.ArgumentParser) -> None:
         "%(default)s)",
     )
     parser.add_argument(
-        "--raf", choices=[HELLINGER, IDENTITY], default=WleConfig.raf,
-        help="residual adjustment function; 'identity' is the "
-        "unweighted diagnostic (default %(default)s)",
+        "--raf", choices=[HELLINGER], default=WleConfig.raf,
+        help="residual adjustment function; hellinger is the only one "
+        "(default %(default)s)",
     )
 
 
@@ -372,13 +372,8 @@ def _designs(
     for hypothesis, n, t, gammas, scheme, m in grid:
         dgp = DgpConfig(n_units=n, n_periods=t, beta=args.beta,
                         hypothesis=hypothesis, tau=args.tau, seed=args.seed)
-        bounded = scheme != NO_CONTAMINATION
         contamination = ContaminationConfig(
-            scheme=scheme,
-            n_outliers=m,
-            low=args.low if bounded else None,
-            high=args.high if bounded else None,
-        )
+            scheme=scheme, n_outliers=m, low=args.low, high=args.high)
         designs.append((dgp, contamination, gammas))
     return designs
 

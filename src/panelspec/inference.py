@@ -68,8 +68,6 @@ class TestResult:
         Upper-tail chi-square probability of ``statistic``.
     q : ndarray, shape (K,)
         Contrast vector between the two coefficient estimates.
-    m_matrix : ndarray, shape (K, K)
-        Covariance difference actually inverted, after any repair.
     repaired : bool
         True when any eigenvalue had to be clamped to keep the
         difference positive definite.
@@ -80,7 +78,6 @@ class TestResult:
     df: int
     p_value: float
     q: np.ndarray = field(repr=False)
-    m_matrix: np.ndarray = field(repr=False)
     repaired: bool
 
 
@@ -149,15 +146,12 @@ def _contrast(
     clamped = np.maximum(eigvals, floor)
     z = eigvecs.T @ q
     statistic = float(np.sum(z * z / clamped))
-    m_used = eigvecs @ np.diag(clamped) @ eigvecs.T
-    m_used = 0.5 * (m_used + m_used.T)
     return TestResult(
         kind=kind,
         statistic=statistic,
         df=k,
         p_value=chi_square_sf(statistic, k),
         q=q,
-        m_matrix=m_used,
         repaired=repaired,
     )
 

@@ -152,7 +152,7 @@ class ContaminationConfig:
     low, high : float, optional
         Replacement values are drawn uniformly from [low, high).
         Defaults: (10, 35) for the random scheme, (17, 18) for the
-        concentrated one.
+        concentrated one. ``NO_CONTAMINATION`` takes none.
     """
 
     scheme: str = NO_CONTAMINATION
@@ -168,8 +168,11 @@ class ContaminationConfig:
         ):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         require_count("n_outliers", self.n_outliers, 0)
-        if self.scheme == NO_CONTAMINATION and self.n_outliers != 0:
-            raise ConfigurationError("scheme 'none' cannot place outliers")
+        if self.scheme == NO_CONTAMINATION:
+            if self.n_outliers != 0:
+                raise ConfigurationError("scheme 'none' cannot place outliers")
+            if (self.low, self.high) != (None, None):
+                raise ConfigurationError("scheme 'none' takes no low or high")
         if (self.low is None) != (self.high is None):
             raise ConfigurationError("low and high must be given together")
         if self.low is not None:

@@ -41,7 +41,6 @@ from .exceptions import (
 
 __all__ = [
     "HELLINGER",
-    "IDENTITY",
     "WleConfig",
     "kernel_density_at",
     "smoothed_model_density",
@@ -52,9 +51,6 @@ __all__ = [
 ]
 
 HELLINGER = "hellinger"
-# Diagnostic adjustment A(delta) = delta: weights are identically one and
-# the fit reproduces unweighted least squares.
-IDENTITY = "identity"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -149,14 +145,13 @@ class WleConfig:
         current residual scale. Must be positive.
     max_iterations : int
         Cap on evaluations of the fixed-point map, each one kernel
-        density pass (none under ``IDENTITY``) and one weighted solve.
+        density pass and one weighted solve.
     tolerance : float
         Bound on the relative distance of the state ``(beta,
         sigma2_nu)`` to the fixed point, ``beta`` in sup-norm over
         ``max(1, |beta|_inf)``, below which the fit counts as converged.
     raf : str
-        Residual adjustment function: ``HELLINGER`` (default) or the
-        ``IDENTITY`` diagnostic.
+        Residual adjustment function; ``HELLINGER``, the only one.
     """
 
     kappa: float = 0.5
@@ -174,7 +169,8 @@ class WleConfig:
             raise ConfigurationError(
                 f"tolerance must be positive and finite, got {self.tolerance}"
             )
-        if self.raf not in (HELLINGER, IDENTITY):
+        # perfbench still passes raf; the field goes when it stops.
+        if self.raf != HELLINGER:
             raise ConfigurationError(f"unknown raf {self.raf!r}")
 
 
@@ -430,27 +426,20 @@ def raf_hellinger(delta: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def weight_function(
-    delta: Union[float, np.ndarray], raf: str = HELLINGER
+    delta: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """Map Pearson residuals to weights in [0, 1].
 
-    ``w = min(1, [A(delta) + 1]^+ / (delta + 1))``. Observations in
-    perfect concordance (delta = 0) get weight 1; strongly surprising
-    observations in either direction get weights near 0. The
-    ``IDENTITY`` adjustment gives weight 1 everywhere, whatever
-    ``delta`` is; under ``HELLINGER`` a non-finite ``delta`` (infinite
-    surprise) maps to weight 0.
+    ``w = min(1, [A(delta) + 1]^+ / (delta + 1))`` with the Hellinger
+    adjustment ``A``: weight 1 at perfect concordance (delta = 0), near 0
+    for strongly surprising observations in either direction, and 0 for
+    a non-finite ``delta`` (infinite surprise).
     """
     arr = np.asarray(delta, dtype=float)
-    if raf == IDENTITY:
-        w = np.ones_like(arr)
-    elif raf == HELLINGER:
-        finite = np.isfinite(arr)
-        safe = np.where(finite, arr, 0.0)
-        adjusted = np.maximum(0.0, raf_hellinger(safe) + 1.0)
-        w = np.where(finite, np.minimum(1.0, adjusted / (safe + 1.0)), 0.0)
-    else:
-        raise ConfigurationError(f"unknown raf {raf!r}")
+    finite = np.isfinite(arr)
+    safe = np.where(finite, arr, 0.0)
+    adjusted = np.maximum(0.0, raf_hellinger(safe) + 1.0)
+    w = np.where(finite, np.minimum(1.0, adjusted / (safe + 1.0)), 0.0)
     if np.isscalar(delta):
         return float(w)
     return w
@@ -472,10 +461,8 @@ def _reweight(
     ``x' W resid = 0``.
     """
     n, k = x.shape
-    # The identity weights never read delta: no kernel density pass.
-    delta = np.zeros(n) if config.raf == IDENTITY else pearson_residuals(
-        y - x @ beta, math.sqrt(sigma2_nu), config)
-    weights = weight_function(delta, config.raf)
+    delta = pearson_residuals(y - x @ beta, math.sqrt(sigma2_nu), config)
+    weights = weight_function(delta)
     sum_w = float(weights.sum())
     if sum_w <= k:
         raise DegenerateWeightsError(

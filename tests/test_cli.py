@@ -8,12 +8,14 @@ import json
 import pathlib
 import subprocess
 import sys
+from unittest.mock import patch
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from panelspec import cli
+from panelspec import cli, wle
 from panelspec.mcstudy import (
     RANDOM_VERTICAL,
     ContaminationConfig,
@@ -220,6 +222,8 @@ def test_flag_defaults_are_the_config_defaults(command):
      "--which", "hausman", "--kappa", "-1"],
     ["fit", "--data", str(FIXTURES / "fe_oracle.csv"), *DATA_FLAGS,
      "--method", "fe", "--tol", "0"],
+    # A clean design has no replacement values to bound.
+    ["simulate", "--s", "1", "--low", "5", "--high", "6"],
 ])
 def test_configuration_errors_exit_1(args):
     proc = run_cli(*args)
@@ -227,6 +231,23 @@ def test_configuration_errors_exit_1(args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("panelspec: error:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_identity_adjustment_is_a_usage_error():
+    proc = run_cli("fit", "--data", str(FIXTURES / "fe_oracle.csv"),
+                   *DATA_FLAGS, "--method", "wfe", "--raf", "identity")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "invalid choice: 'identity'" in proc.stderr
+
+
+def test_degenerate_weights_exit_1(capsys):
+    with patch.object(wle, "weight_function", np.zeros_like):
+        code = cli.main(["fit", "--data", str(FIXTURES / "fe_oracle.csv"),
+                         *DATA_FLAGS, "--method", "wfe"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("panelspec: error: weight mass 0 ")
+    assert err.count("\n") == 1
 
 
 def test_short_row_is_a_data_error(tmp_path):

@@ -4,10 +4,12 @@ import json
 import math
 from collections import Counter
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from panelspec import wle
 from panelspec.estimators import fit_fixed_effects, fit_random_effects
 from panelspec.exceptions import (
     ConfigurationError,
@@ -168,6 +170,10 @@ def test_contamination_config_validation():
         ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=2.5)
     with pytest.raises(ValueError):
         ContaminationConfig(scheme=NO_CONTAMINATION, n_outliers=3)
+    # A clean design has no replacement values to bound.
+    for low, high in ((1.0, 2.0), (1.0, None), (None, 2.0)):
+        with pytest.raises(ConfigurationError):
+            ContaminationConfig(scheme=NO_CONTAMINATION, low=low, high=high)
     with pytest.raises(ValueError):
         ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=1, low=2.0)
     with pytest.raises(ValueError):
@@ -341,6 +347,17 @@ def test_run_study_matches_per_replication_pipeline(n_units, outliers):
     for kind, column in ((HAUSMAN, 0), (WEIGHTED_HAUSMAN, 1)):
         expected = np.array([row[column] for row in rows])
         assert np.array_equal(study.statistics[kind], expected)
+
+
+def test_run_study_counts_degenerate_weights_as_failures():
+    # Every weighted fit raises DegenerateWeightsError, a package error,
+    # so each replication is dropped from both tests and counted.
+    with patch.object(wle, "weight_function", np.zeros_like):
+        study = run_study(_SMALL_DGP, s=3)
+    assert study.failures == 3
+    for kind in (HAUSMAN, WEIGHTED_HAUSMAN):
+        assert study.statistics[kind].shape == (0,)
+        assert math.isnan(study.rejection_rates[kind][0])
 
 
 def test_specification_tests_follow_kinds():

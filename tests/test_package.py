@@ -18,7 +18,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 PUBLIC_NAMES = [
     "ALTERNATIVE", "CONCENTRATED_VERTICAL", "ColumnSchema",
     "ConfigurationError", "ContaminationConfig", "DgpConfig",
-    "EstimateResult", "FIXED_EFFECTS", "HAUSMAN", "HELLINGER", "IDENTITY",
+    "EstimateResult", "FIXED_EFFECTS", "HAUSMAN", "HELLINGER",
     "NO_CONTAMINATION", "NULL", "POOLED_OLS", "PanelDataset",
     "PanelSpecError", "RANDOM_EFFECTS", "RANDOM_VERTICAL", "StudyResult",
     "TestResult", "TransformedPanel", "VarianceComponents",
@@ -46,6 +46,19 @@ CLI_OPTIONS = {
                  "--s", "--seed", "--t", "--tau", "--tol"],
 }
 
+# The values of each option that takes a fixed set, in parser order. A
+# choice added or dropped changes what a command accepts: edit this too.
+CLI_CHOICES = {
+    "fit": {"--method": ["pooled", "fe", "re", "wfe"], "--raf": ["hellinger"],
+            "--format": ["json", "csv"]},
+    "test": {"--which": ["hausman", "weighted", "both"],
+             "--raf": ["hellinger"], "--format": ["json", "csv"]},
+    "simulate": {"--hypothesis": ["null", "alt", "alternative"],
+                 "--contamination": ["none", "random", "concentrated"],
+                 "--raf": ["hellinger"], "--paper-figure": [1, 2, 4, 5],
+                 "--format": ["json", "csv"]},
+}
+
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(panelspec.__all__) == PUBLIC_NAMES
@@ -63,6 +76,17 @@ def test_cli_options_are_pinned():
         for name, parser in commands.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_cli_choices_are_pinned():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    choices = {
+        name: {action.option_strings[0]: list(action.choices)
+               for action in parser._actions if action.choices is not None}
+        for name, parser in commands.choices.items()
+    }
+    assert choices == CLI_CHOICES
 
 
 @pytest.mark.parametrize("module", sorted(

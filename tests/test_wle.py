@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,18 +19,14 @@ from panelspec import (
     PanelDataset,
     WleConfig,
     fit_fixed_effects,
-    fit_random_effects,
     fit_weighted_fixed_effects,
-    hausman_test,
     kernel_density_at,
     pearson_residuals,
     raf_hellinger,
     smoothed_model_density,
     weight_function,
-    weighted_hausman_test,
 )
 from panelspec import wle
-from panelspec.wle import IDENTITY
 from panelspec.estimators import _within_solve
 from panelspec.mcstudy import (
     CONCENTRATED_VERTICAL,
@@ -42,6 +39,7 @@ from panelspec.mcstudy import (
 )
 from panelspec.exceptions import (
     ConfigurationError,
+    DegenerateWeightsError,
     DeltaOutOfRangeError,
     EmptySampleError,
     NonpositiveBandwidthError,
@@ -320,12 +318,6 @@ def test_weight_function_values():
         weight_function(-1.0)
 
 
-def test_weight_function_identity_is_unit():
-    delta = np.array([-0.5, 0.0, 0.3, 4.0, 250.0, np.inf])
-    w = weight_function(delta, IDENTITY)
-    assert np.all(w == 1.0)
-
-
 def test_weight_function_range_and_shape():
     delta = np.concatenate([
         np.linspace(-0.999, 5.0, 301), np.array([1e3, 1e6, np.inf]),
@@ -373,8 +365,9 @@ def test_wle_config_validation():
     for tolerance in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError):
             WleConfig(tolerance=tolerance)
-    with pytest.raises(ValueError):
-        WleConfig(raf="bogus")
+    for raf in ("bogus", "identity"):
+        with pytest.raises(ConfigurationError):
+            WleConfig(raf=raf)
 
 
 def test_weighted_fit_clean_data_near_within():
@@ -392,31 +385,18 @@ def test_weighted_fit_clean_data_near_within():
 @example(n=50, t=4, k=2, seed=25)
 def test_weighted_fit_identity_equals_within(n, t, k, seed):
     # Unit weights leave the within coefficients and residuals where they
-    # are, bit for bit, so the first evaluation finds a zero step.
+    # are, bit for bit, so the first evaluation finds a zero step. A
+    # module-global seam: hypothesis does not mix with monkeypatch.
     ds = make_panel(n, t, k, seed=seed)
     fe = fit_fixed_effects(ds)
-    wfe = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
+    with patch.object(wle, "weight_function", np.ones_like):
+        wfe = fit_weighted_fixed_effects(ds)
     np.testing.assert_array_equal(wfe.beta, fe.beta)
     np.testing.assert_array_equal(wfe.residuals, fe.residuals)
     assert np.all(wfe.weights == 1.0)
     assert wfe.sigma2_eps == pytest.approx(fe.sigma2_eps, rel=1e-14)
     assert np.allclose(wfe.cov_beta, fe.cov_beta, rtol=1e-12)
     assert (wfe.iterations, wfe.distance_bound, wfe.converged) == (1, 0.0, True)
-
-
-def test_identity_weights_are_one_where_the_model_density_underflows():
-    # One response far out: its smoothed model density underflows, so
-    # its Pearson residual is infinite; the identity still weighs it 1.
-    ds = make_panel(2000, 4, 2, seed=40)
-    y = ds.y.copy()
-    y[0, 0] = 1e5
-    ds = PanelDataset(ds.unit_ids, ds.time_ids, y, ds.x)
-    fe, re = fit_fixed_effects(ds), fit_random_effects(ds)
-    wfe = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
-    assert np.all(wfe.weights == 1.0)
-    np.testing.assert_array_equal(wfe.beta, fe.beta)
-    assert weighted_hausman_test(wfe, re).statistic == pytest.approx(
-        hausman_test(fe, re).statistic, rel=1e-12)
 
 
 def test_weighted_fit_downweights_outliers_and_dominates():
@@ -619,19 +599,6 @@ def test_each_iteration_is_one_kernel_pass_and_one_solve(
         assert fit.iterations == max_iterations
 
 
-def test_identity_fit_makes_no_kernel_pass(monkeypatch):
-    # The identity weights do not read the Pearson residuals, so the fit
-    # never estimates their density; it still weighs once and equals FE.
-    ds = _contaminated(RANDOM_VERTICAL, 30, 3)
-    kde = _count_calls(monkeypatch, "kernel_density_at")
-    weigh = _count_calls(monkeypatch, "weight_function")
-    fit = fit_weighted_fixed_effects(ds, WleConfig(raf=IDENTITY))
-    fe = fit_fixed_effects(ds)
-    assert (len(kde), len(weigh), fit.iterations) == (0, 1, 1)
-    np.testing.assert_array_equal(fit.beta, fe.beta)
-    np.testing.assert_array_equal(fit.residuals, fe.residuals)
-
-
 def test_extrapolation_step():
     # S3 from p, F(p), F(F(p)) of a linear map with rate 1/2 lands on its
     # fixed point (0, 1); alpha = -1 and sigma2 <= 0 give no state.
@@ -667,6 +634,17 @@ def test_failed_extrapolation_falls_back_to_the_plain_state(monkeypatch):
     assert fit.iterations == len(kde) == len(weigh) == len(solve) + len(tried)
     distance = float(np.max(np.abs(fit.beta - reference)))
     assert distance <= 1e-6 * max(1.0, float(np.max(np.abs(reference))))
+
+
+def test_vanishing_weights_raise_on_the_first_evaluation():
+    # The first evaluation starts from the within fit, the last plain
+    # state, so the fit has nothing to fall back to and raises at once.
+    ds = _contaminated(RANDOM_VERTICAL, 30, 3)
+    with patch.object(wle, "weight_function",
+                      side_effect=np.zeros_like) as weigh:
+        with pytest.raises(DegenerateWeightsError, match="weight mass 0 "):
+            fit_weighted_fixed_effects(ds)
+    assert weigh.call_count == 1
 
 
 def test_weighted_fit_returns_its_last_solve():
