@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -34,7 +35,8 @@ __all__ = [
     "to_stacked",
 ]
 
-# Records parsed per block: one block's raw fields are alive at a time.
+# Records parsed per block on the csv path, which reads pipes and bodies
+# numpy's reader refuses: one block's raw fields are alive at a time.
 _BLOCK_RECORDS = 1024
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # surrogate-escaped bytes
 
@@ -177,9 +179,11 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     Parameters
     ----------
     path : str or path-like
-        UTF-8 CSV file with a header row, read in blocks of 1024
-        records; a leading byte-order mark is skipped. Of several bad
-        records, the first in the file is reported, with its first line.
+        UTF-8 CSV file with a header row; a leading byte-order mark is
+        skipped. numpy's C reader parses the body. A body it refuses or
+        with a fault, and a pipe, are read by ``csv`` in blocks of 1024
+        records, which reports the first bad record in the file with its
+        first line, or accepts blank records or ``1_000``-style numbers.
     schema : ColumnSchema
         Which columns hold the unit id, time id, response, and
         regressors.
@@ -231,18 +235,26 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
                 raise SchemaError(
                     f"{path}: column {c!r} repeats in header at fields {fields}"
                 )
-        pick = operator.itemgetter(*(header.index(c) for c in wanted))
+        columns = [header.index(c) for c in wanted]
 
-        # The cells' order is the values' order.
-        cells, blocks = {}, []
-        while records := list(itertools.islice(reader, _BLOCK_RECORDS)):
-            read = _read_block(records, pick, header, cells)
-            if read is None:
-                _raise_first_bad_record(path, reader.line_num, records, pick,
-                                        header, cells)
-            cells.update(read[0])
-            blocks.append(read[1])
-            del records  # before the next block is read
+        # The cells' order is the values' order. A body numpy refuses
+        # (None) is read again from its start, which a pipe (False) cannot.
+        read = fh.seekable() and _read_with_numpy(fh, header, columns)
+        if read is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+        cells, blocks = read or ({}, [])
+        if not read:
+            pick = operator.itemgetter(*columns)
+            while records := list(itertools.islice(reader, _BLOCK_RECORDS)):
+                read = _read_block(records, pick, header, cells)
+                if read is None:
+                    _raise_first_bad_record(path, reader.line_num, records,
+                                            pick, header, cells)
+                cells.update(read[0])
+                blocks.append(read[1])
+                del records  # before the next block is read
 
     units = list(dict.fromkeys(unit for unit, _ in cells))
     time_list = _period_order({time for _, time in cells})
@@ -264,6 +276,34 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     table[at] = np.concatenate(blocks, axis=1).T
     y, x = table[:, 0].reshape(n, t), table[:, 1:].reshape(n, t, k)
     return PanelDataset(tuple(units), tuple(time_list), y, x)
+
+
+def _read_with_numpy(fh, header, columns):
+    """The body's cells and its values as one block, shape (K+1, m) with
+    the response first, parsed by numpy's C reader; None if numpy refuses
+    the body or the csv path must locate a fault in it: a value not
+    finite, a cell seen before or a byte that is not UTF-8."""
+    dtype = [(f"f{i}", float if i in columns[2:] else object)
+             for i in range(len(header))]
+    with warnings.catch_warnings():
+        # An empty body makes an empty panel, which the size check refuses.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+        except ValueError:
+            return None
+    text = "".join(itertools.chain.from_iterable(
+        body[name].tolist() for name, kind in dtype if kind is object))
+    if not text.isascii() and _NOT_UTF8(text):
+        return None
+    units, times = (body[f"f{i}"].tolist() for i in columns[:2])
+    cells = dict.fromkeys(zip(map(str.strip, units), map(str.strip, times)))
+    block = np.stack([body[f"f{i}"] for i in columns[2:]])
+    if len(cells) < len(body) or not np.isfinite(block).all():
+        return None
+    return cells, [block]
 
 
 def _read_block(records, pick, header, cells):

@@ -1,12 +1,18 @@
 """Panel construction, CSV ingestion, and stacking order."""
 
+import os
+import threading
+import warnings
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings, strategies as st
 
 from panelspec import (
     ColumnSchema,
     PanelDataset,
+    data,
     load_long_csv,
     to_stacked,
 )
@@ -239,10 +245,119 @@ def test_csv_round_trip_is_exact(tmp_path_factory, n, t, k, seed):
     assert got.x.flags.c_contiguous and got.y.flags.c_contiguous
 
 
+# Raw fields, written as they stand: the ids hold quoted line breaks, a
+# doubled quote, a quote inside an unquoted field, a quoted comma and
+# non-ASCII text; the numbers include forms only csv's path accepts.
+_IDS = ['u1', 'u2', '"A\r\nz"', '"B\nz"', '"q""d"', 'a"b', '"c,d"', 'é',
+        '日本', ' "e" ']
+_TIMES = ["1", "2", "10", '"3"']
+_NUMBERS = {"odd": ["1_000", "x", "", '"2.5"', "+.5", "1E3", "-0", "١"],
+            "not finite": ["inf", "-1e400", "nan"]}
+_BLANKS = ["", " ", ",,,", " , ,", "\t,"]
+_NOTES = ["n", '"é, b"', '"two\r\nlines"', '"q""d"']
+
+
+@st.composite
+def _long_csv_files(draw):
+    """A long CSV as bytes, and its K: a small panel in shuffled rows,
+    each field padded, with blank records and at most one fault."""
+    k, note = draw(st.integers(1, 2)), draw(st.booleans())
+    units = draw(st.lists(st.sampled_from(_IDS), min_size=2, max_size=4,
+                          unique=True))
+    times = _TIMES[:draw(st.integers(2, 4))]
+    finite = st.floats(-1e3, 1e3)
+    rows = draw(st.permutations([
+        [unit, time, *(repr(draw(finite) + r + j) for j in range(k + 1)),
+         *[draw(st.sampled_from(_NOTES))] * note]
+        for r, (unit, time) in enumerate((u, t) for u in units for t in times)
+    ]))
+    at = draw(st.integers(0, len(rows) - 1))
+    fault = draw(st.sampled_from([None, "odd", "not finite", "repeat",
+                                  "short", "long", "latin"]))
+    if fault in _NUMBERS:
+        rows[at][draw(st.integers(2, 2 + k))] = draw(
+            st.sampled_from(_NUMBERS[fault]))
+    elif fault == "repeat":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
+    elif fault in ("short", "long"):
+        rows[at] = rows[at][:-1] if fault == "short" else rows[at] + ["9"]
+    # A blank before an opening quote makes the quote a literal, so that
+    # the quoted line breaks would end the record.
+    pad = st.text(st.sampled_from(" \t\x0b\x1f"), max_size=2)
+    records = [",".join(("" if cell[:1] == '"' else draw(pad)) + cell
+                        + draw(pad) for cell in row) for row in rows]
+    for blank in draw(st.lists(st.sampled_from(_BLANKS), max_size=2)):
+        records.insert(draw(st.integers(0, len(records))), blank)
+    header = ["unit", "time", "y", *(f"x{j + 1}" for j in range(k))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([",".join(header + ["note"] * note), *records])
+    text = "\ufeff" * draw(st.booleans()) + text + newline * draw(st.booleans())
+    content = text.encode()
+    if fault == "latin":  # a byte that is not UTF-8
+        content = content.replace("é".encode(), b"\xe9", 1)
+    return content, k
+
+
+def _load_or_error(path, schema):
+    try:
+        ds = load_long_csv(path, schema)
+    except Exception as err:
+        return type(err), str(err)
+    return ds.unit_ids, ds.time_ids, ds.y.tobytes(), ds.x.tobytes()
+
+
+# numpy's reader parses the body unless it refuses it or the body has a
+# fault; either way the result is the csv path's, error message included.
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(file=_long_csv_files())
+@example(file=(b'unit,time,y,x1\r\n"A\r\nz",1,1.5,0.5\r\n"A\r\nz",2,2.5,1.5'
+               b'\r\nB,1,3.5,2.5\r\nB,2,4.5,3.0\r\n', 1))
+def test_numpy_reader_agrees_with_csv_path(tmp_path_factory, file):
+    content, k = file
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_bytes(content)
+    schema = ColumnSchema("unit", "time", "y", [f"x{j + 1}" for j in range(k)])
+    read = data._read_with_numpy
+
+    def counted(*args):
+        kept = read(*args)
+        event(f"numpy's reader kept the body: {kept is not None}")
+        return kept
+
+    with patch.object(data, "_read_with_numpy", counted):
+        got = _load_or_error(path, schema)
+    with patch.object(data, "_read_with_numpy", return_value=None):
+        assert got == _load_or_error(path, schema)
+
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_bad_record_in_a_pipe_is_located(tmp_path):
+    # A pipe cannot be read twice, so numpy's reader never takes it.
+    pipe = tmp_path / "p.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, daemon=True,
+                              args=("unit,time,y,x1\nA,1,1,1\nA,2,oops,1\n",))
+    writer.start()
+    with pytest.raises(NonNumericValueError) as err:
+        load_long_csv(pipe, SCHEMA)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert str(err.value) == f"{pipe}:3: column 'y' value 'oops' is not numeric"
+
 def test_too_small_panels(tmp_path):
     rows = ["A,1,1.0,0.5", "A,2,2.0,1.5"]
     with pytest.raises(TooFewUnitsOrPeriodsError):
         load_long_csv(_write(tmp_path / "p.csv", rows), SCHEMA)
+    # No record at all: numpy's reader finds no data and must not warn.
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("unit,time,y,x1\n", encoding="utf-8")
+    for path in (header_only, _write(tmp_path / "empty.csv", ["", ""]),
+                 _write(tmp_path / "blank.csv", ["", " , ,", ",,,", " "])):
+        with warnings.catch_warnings(), pytest.raises(
+                TooFewUnitsOrPeriodsError, match="got N=0, T=0"):
+            warnings.simplefilter("error")
+            load_long_csv(path, SCHEMA)
     with pytest.raises(TooFewUnitsOrPeriodsError):
         # N(T-1) = 2 does not exceed K = 2.
         PanelDataset(("A", "B"), (1, 2),
