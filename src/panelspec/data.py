@@ -35,9 +35,6 @@ __all__ = [
     "to_stacked",
 ]
 
-# Records parsed per block on the csv path, which reads pipes and bodies
-# numpy's reader refuses: one block's raw fields are alive at a time.
-_BLOCK_RECORDS = 1024
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # surrogate-escaped bytes
 
 
@@ -181,9 +178,11 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     path : str or path-like
         UTF-8 CSV file with a header row; a leading byte-order mark is
         skipped. numpy's C reader parses the body. A body it refuses or
-        with a fault, and a pipe, are read by ``csv`` in blocks of 1024
-        records, which reports the first bad record in the file with its
+        with a fault, and a pipe, are read by ``csv`` one record at a
+        time, which reports the first bad record in the file with its
         first line, or accepts blank records or ``1_000``-style numbers.
+        A field longer than ``csv.field_size_limit()`` characters is
+        refused on either path.
     schema : ColumnSchema
         Which columns hold the unit id, time id, response, and
         regressors.
@@ -200,8 +199,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     ------
     SchemaError
         The file is not UTF-8 text, a schema column is missing from
-        the header or appears in it twice, or a row has more or fewer
-        fields than the header.
+        the header or appears in it twice, a row has more or fewer
+        fields than the header, or a field is too long.
     NonNumericValueError
         A response or regressor cell does not parse as a number.
     DuplicateCellError
@@ -221,6 +220,8 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+        except csv.Error as err:
+            raise SchemaError(f"{path}:1: {err}") from None
         if _NOT_UTF8("".join(header)):
             raise SchemaError(f"{path}:1: header is not UTF-8 text")
         wanted = [schema.unit_col, schema.time_col, schema.y_col, *schema.x_cols]
@@ -244,17 +245,7 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-        cells, blocks = read or ({}, [])
-        if not read:
-            pick = operator.itemgetter(*columns)
-            while records := list(itertools.islice(reader, _BLOCK_RECORDS)):
-                read = _read_block(records, pick, header, cells)
-                if read is None:
-                    _raise_first_bad_record(path, reader.line_num, records,
-                                            pick, header, cells)
-                cells.update(read[0])
-                blocks.append(read[1])
-                del records  # before the next block is read
+        cells, values = read or _read_records(path, reader, header, columns)
 
     units = list(dict.fromkeys(unit for unit, _ in cells))
     time_list = _period_order({time for _, time in cells})
@@ -273,16 +264,16 @@ def load_long_csv(path, schema: ColumnSchema) -> PanelDataset:
     period = {time: j for j, time in enumerate(time_list)}
     table = np.empty((n * t, k + 1))
     at = [row_of[unit] + period[time] for unit, time in cells]
-    table[at] = np.concatenate(blocks, axis=1).T
+    table[at] = values.T
     y, x = table[:, 0].reshape(n, t), table[:, 1:].reshape(n, t, k)
     return PanelDataset(tuple(units), tuple(time_list), y, x)
 
 
 def _read_with_numpy(fh, header, columns):
-    """The body's cells and its values as one block, shape (K+1, m) with
-    the response first, parsed by numpy's C reader; None if numpy refuses
-    the body or the csv path must locate a fault in it: a value not
-    finite, a cell seen before or a byte that is not UTF-8."""
+    """The body's cells and its values, shape (K+1, m) with the response
+    first, parsed by numpy's C reader; None if numpy refuses the body or
+    the csv path must locate a fault in it: a value not finite, a cell
+    seen before, a byte that is not UTF-8 or a field too long for csv."""
     dtype = [(f"f{i}", float if i in columns[2:] else object)
              for i in range(len(header))]
     with warnings.catch_warnings():
@@ -294,72 +285,60 @@ def _read_with_numpy(fh, header, columns):
                               comments=None, ndmin=1)
         except ValueError:
             return None
-    text = "".join(itertools.chain.from_iterable(
+    fields = list(itertools.chain.from_iterable(
         body[name].tolist() for name, kind in dtype if kind is object))
-    if not text.isascii() and _NOT_UTF8(text):
+    text, limit = "".join(fields), csv.field_size_limit()
+    if (not text.isascii() and _NOT_UTF8(text)
+            or len(text) > limit and max(map(len, fields)) > limit):
         return None
     units, times = (body[f"f{i}"].tolist() for i in columns[:2])
     cells = dict.fromkeys(zip(map(str.strip, units), map(str.strip, times)))
-    block = np.stack([body[f"f{i}"] for i in columns[2:]])
-    if len(cells) < len(body) or not np.isfinite(block).all():
+    values = np.stack([body[f"f{i}"] for i in columns[2:]])
+    if len(cells) < len(body) or not np.isfinite(values).all():
         return None
-    return cells, [block]
+    return cells, values
 
 
-def _read_block(records, pick, header, cells):
-    """A block's new cells and its values, shape (K+1, m) with the
-    response first; None if some record in it is bad."""
-    lines = ["".join(row) for row in records]
-    rows = [row for row, line in zip(records, lines) if line.strip()]
-    if (not set(map(len, rows)) <= {len(header)}
-            or not (text := "".join(lines)).isascii() and _NOT_UTF8(text)):
-        return None
-    # An all-blank block has no fields to transpose.
-    units, times, *columns = (list(zip(*map(pick, rows)))
-                              or [()] * len(pick(header)))
-    block = dict.fromkeys(zip(map(str.strip, units), map(str.strip, times)))
-    if len(block) < len(rows) or not cells.keys().isdisjoint(block):
-        return None
+def _read_records(path, reader, header, columns):
+    """The body's cells and its values, shape (K+1, m) with the response
+    first, read by ``csv`` one record at a time. A blank record is
+    skipped; the first bad one raises its error, located on the line it
+    starts on: a field too long, text not UTF-8, a field count off the
+    header's, a cell seen before, then values not finite, in schema order."""
+    pick = operator.itemgetter(*columns)
+    names = pick(header)[2:]
+    cells, values = {}, []
+    end = reader.line_num  # of the previous record
     try:
-        values = np.array([list(map(float, map(str.strip, c)))
-                           for c in columns])
-    except ValueError:
-        return None
-    return (block, values) if np.isfinite(values).all() else None
-
-
-def _raise_first_bad_record(path, end, records, pick, header, cells):
-    """Raise the error of the first bad record of a block that
-    :func:`_read_block` refused: non-UTF-8 text, a field count off the
-    header's, a cell seen before, then values not finite, in schema order.
-    Its line is counted back from ``end``, the block's last line, over
-    the line breaks kept in quoted fields, which ``newline=""`` splits at."""
-    names, seen = pick(header)[2:], set(cells)
-    spans = [1 + len(re.findall("\r\n?|\n", ",".join(row))) for row in records]
-    starts = itertools.accumulate(spans, initial=end + 1 - sum(spans))
-    for lineno, row in zip(starts, records):
-        if not "".join(row).strip():
-            continue
-        if _NOT_UTF8("".join(row)):
-            raise SchemaError(f"{path}:{lineno}: not UTF-8 text")
-        if len(row) != len(header):
-            raise SchemaError(f"{path}:{lineno}: row has {len(row)} fields, "
-                              f"header has {len(header)}")
-        unit, time, *raws = map(str.strip, pick(row))
-        if (unit, time) in seen:
-            raise DuplicateCellError(f"{path}:{lineno}: duplicate cell for "
-                                     f"unit {unit!r}, time {time!r}")
-        seen.add((unit, time))
-        for col, raw in zip(names, raws):
-            try:
-                finite = math.isfinite(float(raw))
-            except ValueError:
-                raise NonNumericValueError(f"{path}:{lineno}: column {col!r} "
-                                           f"value {raw!r} is not numeric"
-                                           ) from None
-            if not finite:
-                raise NonNumericValueError(f"{path}:{lineno}: column {col!r} "
-                                           f"value {raw!r} is not finite")
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not (line := "".join(row)).strip():
+                continue
+            if _NOT_UTF8(line):
+                raise SchemaError(f"{path}:{lineno}: not UTF-8 text")
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{lineno}: row has {len(row)} "
+                                  f"fields, header has {len(header)}")
+            unit, time, *raws = map(str.strip, pick(row))
+            if (unit, time) in cells:
+                raise DuplicateCellError(f"{path}:{lineno}: duplicate cell "
+                                         f"for unit {unit!r}, time {time!r}")
+            cells[unit, time] = None
+            for col, raw in zip(names, raws):
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise NonNumericValueError(
+                        f"{path}:{lineno}: column {col!r} value {raw!r} "
+                        "is not numeric") from None
+                if not math.isfinite(value):
+                    raise NonNumericValueError(f"{path}:{lineno}: column "
+                                               f"{col!r} value {raw!r} is "
+                                               "not finite")
+                values.append(value)
+    except csv.Error as err:
+        raise SchemaError(f"{path}:{end + 1}: {err}") from None
+    return cells, np.array(values).reshape(-1, len(names)).T
 
 
 def _period_order(labels) -> list:

@@ -271,6 +271,15 @@ def test_long_row_is_a_data_error(tmp_path):
     assert "long.csv:2: row has 6 fields, header has 5" in proc.stderr
 
 
+def test_field_longer_than_csv_limit_is_a_data_error(tmp_path):
+    data = tmp_path / "wide.csv"
+    data.write_text(f"unit,time,y,x1,x2\n{'u' * 200_000},1,1.0,2.0,3.0\n")
+    proc = run_cli("fit", "--data", str(data), *DATA_FLAGS, "--method", "fe")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"panelspec: error: {data}:2: field larger than "
+                           "field limit (131072)\n")
+
+
 def _overflowing_csv(tmp_path, column):
     """``fe_oracle.csv`` with 1.7e308 in two cells of one unit's ``column``:
     finite, so the loader accepts them, but their unit mean is inf."""
