@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -273,7 +274,7 @@ def _read_with_numpy(fh, header, columns):
     """The body's cells and its values, shape (K+1, m) with the response
     first, parsed by numpy's C reader; None if numpy refuses the body or
     the csv path must locate a fault in it: a value not finite, a cell
-    seen before, a byte that is not UTF-8 or a field too long for csv."""
+    seen before, a byte not UTF-8, or a field or a line too long for csv."""
     dtype = [(f"f{i}", float if i in columns[2:] else object)
              for i in range(len(header))]
     with warnings.catch_warnings():
@@ -296,6 +297,12 @@ def _read_with_numpy(fh, header, columns):
     values = np.stack([body[f"f{i}"] for i in columns[2:]])
     if len(cells) < len(body) or not np.isfinite(values).all():
         return None
+    # numpy keeps no number's text, but a number cannot span lines. Split
+    # at "\n" and counted in bytes, no line here is shorter than csv's.
+    if os.fstat(fh.fileno()).st_size > limit:
+        fh.buffer.seek(0)
+        if max(map(len, fh.buffer)) > limit:
+            return None
     return cells, values
 
 

@@ -124,6 +124,15 @@ class EstimateResult:
         return np.sqrt(np.diag(self.cov_beta))
 
 
+def _sum_of_squares(v: np.ndarray) -> float:
+    """``v @ v``; ``NonNumericValueError`` where finite data overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = float(v @ v)
+    if not math.isfinite(ss):
+        raise NonNumericValueError("overflow: sum of squares not finite")
+    return ss
+
+
 def _total_variation(y: np.ndarray) -> float:
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss <= 0.0:
@@ -175,7 +184,7 @@ def _fit_result(
     y, _, beta, gram_inv, resid = solve
     # Finite data can overflow in these sums where no solver sees it: pooled
     # OLS does not demean, so its solver's input stays finite.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         rss = float(resid @ resid)
         tss = _total_variation(y)
     if not (math.isfinite(rss) and math.isfinite(tss)):
@@ -258,13 +267,13 @@ def estimate_variance_components(dataset: PanelDataset) -> VarianceComponents:
             f"got N={n}, T={t}, K={k}"
         )
     resid_w = _within_solve(dataset)[4]
-    sigma2_eps = float(resid_w @ resid_w) / (n * (t - 1) - k)
+    sigma2_eps = _sum_of_squares(resid_w) / (n * (t - 1) - k)
 
     y_b = dataset.y.mean(axis=1)
     x_b = np.column_stack([np.ones(n), dataset.x.mean(axis=1)])
     beta_b, _ = lstsq_qr(x_b, y_b)
     resid_b = y_b - x_b @ beta_b
-    s2_between = float(resid_b @ resid_b) / (n - k - 1)
+    s2_between = _sum_of_squares(resid_b) / (n - k - 1)
     sigma2_alpha = max(0.0, s2_between - sigma2_eps / t)
 
     theta = compute_theta(sigma2_eps, sigma2_alpha, t)

@@ -23,7 +23,10 @@ import functools
 import io
 import json
 import math
+import sys
+import types
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Optional, Sequence
 
 import numpy as np
@@ -207,10 +210,28 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     rejection samplers, consumption from the stream is one draw per
     variate on every platform.
     """
-    from scipy.special import ndtri  # here: fit and test need no scipy.special
     k = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
     u = (2.0 * k + 1.0) * (2.0 ** -54)
-    return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))  # nextafter(1, 0)
+    return _ndtri()(np.minimum(u, 1.0 - 2.0 ** -53))  # nextafter(1, 0)
+
+
+@functools.cache
+def _ndtri():
+    """scipy's ``ndtri`` ufunc, loaded on the first draw, not at import."""
+    if "scipy.special" not in sys.modules:
+        # The package's __init__ costs about 23 MB and 0.2 s, _ufuncs 3 MB.
+        # As _ufuncs imports its sibling extensions through the package, a
+        # bare entry stands in for the package during that one import.
+        bare = sys.modules["scipy.special"] = types.ModuleType("scipy.special")
+        try:
+            import scipy
+            bare.__path__ = [f"{scipy.__path__[0]}/special"]
+            return import_module("scipy.special._ufuncs").ndtri
+        except (AttributeError, ImportError):
+            pass  # another scipy layout: import the package
+        finally:
+            del sys.modules["scipy.special"]
+    return import_module("scipy.special").ndtri
 
 
 def _uniform(
@@ -241,9 +262,11 @@ def generate(
     x = standard_normal(rng, (n, t, k))
     alpha = standard_normal(rng, n)
     eps = standard_normal(rng, (n, t))
-    if cfg.hypothesis == ALTERNATIVE:
-        alpha = (x @ np.array(cfg.tau)).mean(axis=1) + alpha
-    y = x @ np.array(cfg.beta) + alpha[:, np.newaxis] + eps
+    # A large beta or tau can overflow y; PanelDataset then refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.hypothesis == ALTERNATIVE:
+            alpha = (x @ np.array(cfg.tau)).mean(axis=1) + alpha
+        y = x @ np.array(cfg.beta) + alpha[:, np.newaxis] + eps
     units, times = _labels(n, t)
     return PanelDataset(units, times, y, x)
 

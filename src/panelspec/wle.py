@@ -26,6 +26,7 @@ from .estimators import (
     WEIGHTED_FIXED_EFFECTS,
     EstimateResult,
     _fit_result,
+    _sum_of_squares,
     _within_solve,
 )
 from .exceptions import (
@@ -553,7 +554,7 @@ def fit_weighted_fixed_effects(
     y, x, beta, gram_inv, resid = _within_solve(dataset)
     n = y.size
     # Initial scale: the unit-weight case of the update formula.
-    sigma2_nu = float(resid @ resid) / (n - k)
+    sigma2_nu = _sum_of_squares(resid) / (n - k)
     fit = (beta, sigma2_nu, np.ones(n), gram_inv, resid)
     # An exact within fit is its own fixed point: nothing to reweight.
     bound = 0.0 if sigma2_nu <= 0.0 else math.inf

@@ -1,14 +1,24 @@
-"""Shared test utilities: panel builders and brute-force oracles.
+"""Shared test utilities: panel builders, brute-force oracles and a
+fresh interpreter.
 
 The oracles deliberately avoid the package's own solver path: they go
 through ``numpy.linalg`` on explicitly materialized design matrices, so
 agreement with the estimators is evidence, not circularity.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import settings, strategies as st
 
+import panelspec
 from panelspec import PanelDataset
+
+# The directory this run imports panelspec from, for fresh interpreters.
+SRC = str(pathlib.Path(panelspec.__file__).resolve().parents[1])
 
 # Panel shapes and seeds for the property tests, passed to ``@given``.
 # Bounds keep N(T-1) > K and N > K + 1, so every estimator is identified,
@@ -79,3 +89,17 @@ def write_long_csv(path, dataset, unit_col="unit", time_col="time",
             lines.append(",".join([str(unit), str(time)] + vals))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def run_fresh(script, env=None):
+    """Run ``script`` by ``python -c`` in a fresh interpreter that imports
+    the panelspec under test, with ``env`` added to this process's
+    environment; require exit status 0 and return standard output."""
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from panelspec import cli, wle
+from panelspec import PanelDataset, cli, wle
 from panelspec.mcstudy import (
     RANDOM_VERTICAL,
     ContaminationConfig,
@@ -326,6 +326,40 @@ def test_values_that_overflow_in_pooled_sums_are_data_errors(
                    "--method", "pooled")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"panelspec: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "pooled"], ["fit", "--method", "fe"], ["test"],
+    ["fit", "--method", "re"], ["fit", "--method", "wfe"],
+])
+def test_values_that_overflow_in_squares_are_data_errors(tmp_path, command):
+    # y = 1.5e308 in one cell of five units: the unit means and the
+    # demeaned data stay finite, but a sum of squares overflows; each
+    # method names it on one stderr line, with no numpy warning.
+    panel = make_panel(20, 3, 2, seed=6)
+    y = panel.y.copy()
+    y[:5, 0] = 1.5e308
+    data = tmp_path / "squares.csv"
+    write_long_csv(data, PanelDataset(panel.unit_ids, panel.time_ids, y,
+                                      panel.x))
+    proc = run_cli(command[0], "--data", str(data), *DATA_FLAGS, *command[1:])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "panelspec: error: overflow: sum of squares not finite\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "1e308,1e308"],
+    ["--contamination", "random", "--m", "5", "--low", "1e308",
+     "--high", "1.7e308"],
+])
+def test_simulate_counts_overflow_as_failures(flags, capsys):
+    # In-process, where the suite's filterwarnings turns a numpy
+    # RuntimeWarning into an error.
+    argv = ["simulate", *flags, "--n", "20", "--t", "3", "--s", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["runs"][0]["failures"] == 2
 
 
 def test_internal_value_error_propagates(monkeypatch):

@@ -35,6 +35,8 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 # One character past the longest field that csv reads.
 _LONG_ID = "u" * (csv.field_size_limit() + 1)
 _TOO_LONG = f"field larger than field limit ({csv.field_size_limit()})"
+# A number numpy parses, one character longer than csv's limit.
+_LONG_NUMBER = "0" * (csv.field_size_limit() - 2) + "1.5"
 
 
 def _write(path, rows, header="unit,time,y,x1"):
@@ -320,6 +322,8 @@ def _load_or_error(path, schema):
                b'\r\nB,1,3.5,2.5\r\nB,2,4.5,3.0\r\n', 1))
 @example(file=(f"unit,time,y,x1\nA,1,1.5,0.5\nA,2,2.5,1.5\n{_LONG_ID},1,3.5,2.5"
                f"\n{_LONG_ID},2,4.5,3.0\n".encode(), 1))
+@example(file=(f"unit,time,y,x1\nA,1,{_LONG_NUMBER},0.5\nA,2,2.5,1.5\nB,1,3.5,"
+               "2.5\nB,2,4.5,3.0\n".encode(), 1))
 def test_numpy_reader_agrees_with_csv_path(tmp_path_factory, file):
     content, k = file
     path = tmp_path_factory.mktemp("csv") / "p.csv"
@@ -397,7 +401,10 @@ def test_clean_pipe_loads_as_the_file_does(tmp_path):
                         "A,1,oops,1"], SchemaError, f":3: {_TOO_LONG}"),
     ("unit,time,y,x1", ["A,1,oops,1", f"{_LONG_ID},1,1,1"],
      NonNumericValueError, ":2: column 'y' value 'oops' is not numeric"),
-], ids=["header", "clean-body", "spans-lines", "bad-record-first"])
+    ("unit,time,y,x1", ["A,1,1,1", f"A,2,{_LONG_NUMBER},1", "B,1,1,1",
+                        "B,2,2,2"], SchemaError, f":3: {_TOO_LONG}"),
+], ids=["header", "clean-body", "spans-lines", "bad-record-first",
+        "long-number"])
 def test_field_longer_than_csv_limit_is_located(tmp_path, header, rows,
                                                 error, message):
     path = _write(tmp_path / "p.csv", rows, header=header)
@@ -408,9 +415,12 @@ def test_field_longer_than_csv_limit_is_located(tmp_path, header, rows,
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_field_longer_than_csv_limit_in_a_pipe_is_located(tmp_path):
-    content = f"unit,time,y,x1\nA,1,1,1\n{_LONG_ID},2,1,1\n".encode()
-    assert _load_pipe(tmp_path, content, SCHEMA) == (
-        SchemaError, f"{tmp_path / 'pipe.csv'}:3: {_TOO_LONG}")
+    for name, row in [("id", f"{_LONG_ID},2,1,1"),
+                      ("number", f"A,2,{_LONG_NUMBER},1")]:
+        (tmp_path / name).mkdir()
+        content = f"unit,time,y,x1\nA,1,1,1\n{row}\n".encode()
+        assert _load_pipe(tmp_path / name, content, SCHEMA) == (
+            SchemaError, f"{tmp_path / name / 'pipe.csv'}:3: {_TOO_LONG}")
 
 
 def test_numpy_reader_takes_plain_bodies(tmp_path):

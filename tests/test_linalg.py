@@ -1,8 +1,5 @@
 """The least-squares solver against scipy's QR path, bit for bit."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +7,8 @@ from scipy.linalg import qr, solve_triangular
 
 from panelspec._linalg import RCOND, lstsq_qr
 from panelspec.exceptions import NonNumericValueError, RankDeficientDesignError
+
+from helpers import run_fresh
 
 LAYOUTS = ("C", "F", "strided")
 
@@ -105,12 +104,6 @@ def test_lstsq_qr_rejects_non_finite_inputs(bad, where):
         lstsq_qr(x, y)
 
 
-def _in_fresh_interpreter(script):
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 _SOLVE = """
 import sys
 import numpy as np
@@ -127,7 +120,7 @@ assert all(np.array_equal(a, b) for a, b in zip(before, after))
 def test_solver_bits_survive_a_later_scipy_import():
     # Importing scipy.linalg loads the LAPACK extension through scipy's
     # package __init__, after _linalg loaded it from its file.
-    _in_fresh_interpreter(_SOLVE + """
+    run_fresh(_SOLVE + """
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 assert scipy.linalg._flapack.__name__ == "scipy.linalg._flapack"
@@ -136,7 +129,7 @@ after = _linalg.lstsq_qr(x, y)
 
 
 def test_loader_falls_back_to_the_package_import():
-    _in_fresh_interpreter(_SOLVE + """
+    run_fresh(_SOLVE + """
 assert "scipy.linalg" not in sys.modules
 flapack = _linalg._load_flapack("/nonexistent/scipy/linalg")
 assert "scipy.linalg" in sys.modules

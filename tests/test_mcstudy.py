@@ -40,6 +40,8 @@ from panelspec.mcstudy import (
 )
 from panelspec.wle import WleConfig, fit_weighted_fixed_effects
 
+from helpers import run_fresh
+
 
 def test_substream_is_deterministic_and_disjoint():
     a = substream(7, 3).integers(0, 1 << 30, size=8)
@@ -67,6 +69,45 @@ def test_standard_normal_is_finite_at_the_extreme_draws(k):
     z = standard_normal(rng, 3)
     assert np.all(np.isfinite(z))
     assert np.all(z > 8.0) if k else np.all(z < -8.0)
+
+
+# The suite imports scipy.special, so only a fresh interpreter reaches
+# the bare load of ndtri.
+_DRAW = """
+import sys, warnings
+warnings.simplefilter("error")
+import numpy as np
+from panelspec import mcstudy
+draw = lambda: mcstudy.standard_normal(mcstudy.substream(3, 0), 1000)
+"""
+
+
+def test_draws_survive_a_later_scipy_special_import():
+    # Importing scipy.special runs its package __init__ after _ndtri
+    # loaded the ufuncs extension under a bare package entry.
+    run_fresh(_DRAW + """
+before = draw()
+assert "scipy.special" not in sys.modules
+import scipy.special
+assert scipy.special.ndtri is mcstudy._ndtri()
+mcstudy._ndtri.cache_clear()  # the next draw takes the package's ndtri
+assert np.array_equal(before, draw())
+import scipy.stats
+""")
+
+
+def test_ndtri_falls_back_to_the_package_import():
+    out = run_fresh(_DRAW + """
+def import_module(name, real=mcstudy.import_module):
+    if name == "scipy.special._ufuncs":  # as if it needed its package
+        raise ImportError(name)
+    return real(name)
+mcstudy.import_module = import_module
+print(draw().tobytes().hex())
+assert "scipy.special" in sys.modules
+""")
+    expected = standard_normal(substream(3, 0), 1000)
+    assert out.strip() == expected.tobytes().hex()
 
 
 def test_generate_null_reproducible_and_shaped():

@@ -4,13 +4,13 @@ import argparse
 import json
 import pathlib
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
 import panelspec
 from panelspec import cli
+
+from helpers import run_fresh
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -102,13 +102,11 @@ def test_submodule_all_names_resolve(module):
 def _scipy_modules_after(script):
     """Run ``script`` in a fresh interpreter; return the names of the
     ``scipy`` modules it left loaded."""
-    proc = subprocess.run([sys.executable, "-c", script + """
+    return set(json.loads(run_fresh(script + """
 import json
 print(json.dumps([name for name, module in sys.modules.items()
                   if name.split(".")[0] == "scipy" and module is not None]))
-"""], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+""")))
 
 
 def test_fit_and_test_import_no_scipy_package():
@@ -129,11 +127,24 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert loaded <= {"scipy.linalg._flapack"}
 
 
-def test_simulate_imports_scipy_special():
+def test_simulate_loads_ndtri_without_scipy_special():
+    # The normal quantile comes from scipy.special's _ufuncs extension;
+    # the package __init__ would add about 300 modules and 23 MB.
     loaded = _scipy_modules_after("""
 import contextlib, io, sys
 from panelspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--s", "1"]) == 0
 """)
-    assert "scipy.special" in loaded
+    assert "scipy.special" not in loaded
+    assert "scipy.special._ufuncs" in loaded
+
+
+def test_cli_import_and_parser_load_no_scipy_special():
+    # ndtri loads on the first draw, never at import.
+    loaded = _scipy_modules_after("""
+import sys
+from panelspec import cli
+cli.build_parser()
+""")
+    assert not any(name.startswith("scipy.special") for name in loaded)

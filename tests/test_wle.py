@@ -2,10 +2,6 @@
 
 import inspect
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -47,7 +43,7 @@ from panelspec.exceptions import (
     ZeroTotalVariationError,
 )
 
-from helpers import PANEL_SHAPES, PROPERTY_SETTINGS, make_panel
+from helpers import PANEL_SHAPES, PROPERTY_SETTINGS, make_panel, run_fresh
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -207,17 +203,8 @@ def test_kernel_density_independent_of_blas_threads():
         "r = _many_boxes(2000, seed=25)",
         "print(kernel_density_at(r, r, 0.5).tobytes().hex())",
     ])
-    src = str(pathlib.Path(wle.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = [run_fresh(code, env={"OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")]
     assert len(outputs[0]) > 1000 and outputs[0] == outputs[1]
 
 
