@@ -3,15 +3,17 @@
 All estimators route through :func:`lstsq_qr`, which factors the design
 by column-pivoted QR and refuses to solve near-singular systems instead
 of silently regularizing them. Explicit matrix inversion is avoided;
-the Gram inverse is assembled from the triangular factor. LAPACK comes
-from scipy's f2py extension, loaded from its file: scipy's package
-``__init__``s would cost a fresh process about 0.4 s and 28 MB.
+the Gram inverse is assembled from the triangular factor. LAPACK, and
+``ndtri`` for the Monte Carlo draws, come from scipy's extensions, which
+:func:`_scipy_extension` loads without scipy's package ``__init__``s:
+those would cost a fresh process up to 0.4 s and 28 MB.
 """
 
 from __future__ import annotations
 
 import sys
-from importlib import import_module, machinery, util
+import types
+from importlib import import_module, machinery
 
 import numpy as np
 
@@ -22,29 +24,39 @@ from .exceptions import NonNumericValueError, RankDeficientDesignError
 RCOND = 1e-10
 
 
-def _load_flapack(linalg_dir=None):
-    """``scipy.linalg._flapack`` from its file in ``linalg_dir`` (scipy's
-    ``linalg`` by default), or through scipy's ``__init__``s where it
-    cannot load alone (Windows wheels need the DLL directory they add)."""
-    # PathFinder locates scipy without running it or reading sys.modules.
-    scipy = machinery.PathFinder.find_spec("scipy")
-    spec = scipy and machinery.FileFinder(
-        linalg_dir or f"{scipy.submodule_search_locations[0]}/linalg",
-        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
-    ).find_spec("scipy.linalg._flapack")
-    try:
-        module = util.module_from_spec(spec)  # AttributeError: spec is None
-        spec.loader.exec_module(module)
-    except (AttributeError, ImportError):
-        return import_module("scipy.linalg._flapack")
-    # The extension entered itself in sys.modules, where a later import
-    # of scipy.linalg must not find it ahead of its package.
-    if "scipy.linalg" not in sys.modules:
-        sys.modules.pop(spec.name, None)
-    return module
+def _scipy_extension(name: str):
+    """Extension module ``name``, ``scipy.<package>.<module>``, loaded
+    without running scipy's package ``__init__``s.
+
+    An extension imports its sibling extensions through its package, so
+    a bare stand-in, on the path found by locating scipy without
+    importing it, serves as the package for the one import. The stand-in
+    and what the import added under it then leave ``sys.modules``, so a
+    later ``import scipy.<package>`` runs as usual and binds the same
+    extension objects. If the package is imported already, or the
+    extension cannot load alone (another scipy layout, or a Windows
+    wheel that needs its package's DLL directory), ``name`` is imported
+    through its package.
+    """
+    package = name.rpartition(".")[0]
+    if package not in sys.modules:
+        before = set(sys.modules)
+        stand_in = sys.modules[package] = types.ModuleType(package)
+        try:
+            scipy = machinery.PathFinder.find_spec("scipy")  # None: no scipy
+            home = scipy.submodule_search_locations[0]
+            stand_in.__path__ = [f"{home}/{package.removeprefix('scipy.')}"]
+            return import_module(name)
+        except (AttributeError, ImportError):
+            pass  # import the package
+        finally:
+            for added in set(sys.modules) - before:
+                if added == package or added.startswith(f"{package}."):
+                    del sys.modules[added]
+    return import_module(name)
 
 
-_flapack = _load_flapack()
+_flapack = _scipy_extension("scipy.linalg._flapack")
 dgeqp3, dorgqr, dtrtrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dtrtrs
 
 

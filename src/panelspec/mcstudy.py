@@ -23,14 +23,12 @@ import functools
 import io
 import json
 import math
-import sys
-import types
 from dataclasses import dataclass, field
-from importlib import import_module
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._linalg import _scipy_extension
 from .data import PanelDataset
 from .estimators import (
     EstimateResult,
@@ -154,8 +152,8 @@ class ContaminationConfig:
         Exact number of replaced cells m.
     low, high : float, optional
         Replacement values are drawn uniformly from [low, high).
-        Defaults: (10, 35) for the random scheme, (17, 18) for the
-        concentrated one. ``NO_CONTAMINATION`` takes none.
+        Defaults, set at construction: (10, 35) for the random scheme,
+        (17, 18) for the concentrated one; ``NO_CONTAMINATION`` has none.
     """
 
     scheme: str = NO_CONTAMINATION
@@ -178,20 +176,17 @@ class ContaminationConfig:
                 raise ConfigurationError("scheme 'none' takes no low or high")
         if (self.low is None) != (self.high is None):
             raise ConfigurationError("low and high must be given together")
-        if self.low is not None:
+        if self.low is None:
+            low, high = _DEFAULT_BOUNDS.get(self.scheme, (None, None))
+        else:
             _require_finite("low and high", (self.low, self.high))
             if not self.low < self.high:
                 raise ConfigurationError(
                     f"need low < high, got [{self.low}, {self.high})"
                 )
-
-    def bounds(self) -> tuple[float, float]:
-        """Replacement-value bounds, falling back to scheme defaults."""
-        if self.low is not None:
-            return float(self.low), float(self.high)
-        if self.scheme in _DEFAULT_BOUNDS:
-            return _DEFAULT_BOUNDS[self.scheme]
-        raise ConfigurationError("no replacement bounds for scheme 'none'")
+            low, high = float(self.low), float(self.high)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
 
 
 def substream(seed: int, replication: int) -> np.random.Generator:
@@ -218,20 +213,7 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 @functools.cache
 def _ndtri():
     """scipy's ``ndtri`` ufunc, loaded on the first draw, not at import."""
-    if "scipy.special" not in sys.modules:
-        # The package's __init__ costs about 23 MB and 0.2 s, _ufuncs 3 MB.
-        # As _ufuncs imports its sibling extensions through the package, a
-        # bare entry stands in for the package during that one import.
-        bare = sys.modules["scipy.special"] = types.ModuleType("scipy.special")
-        try:
-            import scipy
-            bare.__path__ = [f"{scipy.__path__[0]}/special"]
-            return import_module("scipy.special._ufuncs").ndtri
-        except (AttributeError, ImportError):
-            pass  # another scipy layout: import the package
-        finally:
-            del sys.modules["scipy.special"]
-    return import_module("scipy.special").ndtri
+    return _scipy_extension("scipy.special._ufuncs").ndtri
 
 
 def _uniform(
@@ -322,7 +304,7 @@ def apply_contamination(
     m = cfg.n_outliers
     if m == 0:  # always so for scheme 'none'
         return dataset
-    low, high = cfg.bounds()
+    low, high = cfg.low, cfg.high
     y = dataset.y.copy()
     if cfg.scheme == RANDOM_VERTICAL:
         cells = rng.permutation(n * t)[:m]
@@ -461,9 +443,6 @@ def run_study(
 def _run_document(result: StudyResult) -> dict:
     """One study's entry in the ``runs`` list: its design and results."""
     dgp, cont = result.dgp, result.contamination
-    low, high = (
-        cont.bounds() if cont.scheme != NO_CONTAMINATION else (None, None)
-    )
     # int() and float() let numpy scalars in a config reach the JSON.
     return {
         "hypothesis": dgp.hypothesis,
@@ -471,8 +450,8 @@ def _run_document(result: StudyResult) -> dict:
         "n_periods": int(dgp.n_periods),
         "scheme": cont.scheme,
         "n_outliers": int(cont.n_outliers),
-        "low": low,
-        "high": high,
+        "low": cont.low,
+        "high": cont.high,
         "seed": int(dgp.seed),
         "kappa": float(result.wle_config.kappa),
         "s_replications": int(result.s_replications),

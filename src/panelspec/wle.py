@@ -162,7 +162,7 @@ class WleConfig:
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise NonpositiveBandwidthError(
+            raise ConfigurationError(
                 f"kappa must be positive, got {self.kappa}"
             )
         require_count("max_iterations", self.max_iterations, 1)
@@ -223,15 +223,18 @@ def kernel_density_at(
     n = sample.size
     scale = 1.0 / (n * bandwidth * _SQRT_2PI)
     if n * points.size >= _FGT_MIN_CELLS:
-        reach = max(np.abs(sample).max(), np.abs(points).max()) / bandwidth
+        with np.errstate(over="ignore"):  # inf for a tiny bandwidth
+            reach = max(np.abs(sample).max(), np.abs(points).max()) / bandwidth
         if reach < _FGT_MAX_REACH:  # False for NaN and inf as well
             return _fast_gauss_transform(sample, points, bandwidth) * scale
     out = np.empty(points.size)
     step = max(1, _CHUNK_CELLS // max(n, 1))
-    for start in range(0, points.size, step):
-        block = points[start : start + step, np.newaxis]
-        z = (block - sample[np.newaxis, :]) / bandwidth
-        out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * scale
+    # A tiny bandwidth overflows z * z to inf, and exp(-inf) = 0 is right.
+    with np.errstate(over="ignore"):
+        for start in range(0, points.size, step):
+            block = points[start : start + step, np.newaxis]
+            z = (block - sample[np.newaxis, :]) / bandwidth
+            out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * scale
     return out
 
 

@@ -353,6 +353,9 @@ def test_values_that_overflow_in_squares_are_data_errors(tmp_path, command):
     ["--beta", "1e308,1e308"],
     ["--contamination", "random", "--m", "5", "--low", "1e308",
      "--high", "1.7e308"],
+    # The kernel's squared distances overflow; no weight mass is left.
+    ["--kappa", "1e-300"],
+    ["--kappa", "1e-320"],
 ])
 def test_simulate_counts_overflow_as_failures(flags, capsys):
     # In-process, where the suite's filterwarnings turns a numpy

@@ -1,5 +1,7 @@
 """The least-squares solver against scipy's QR path, bit for bit."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,38 +106,73 @@ def test_lstsq_qr_rejects_non_finite_inputs(bad, where):
         lstsq_qr(x, y)
 
 
-_SOLVE = """
-import sys
-import numpy as np
+# Each extension that _linalg._scipy_extension loads, as a fresh
+# interpreter uses it: code that defines use(), a computation on it, and
+# code that loads it again for the next use(); its routine as bound, and
+# as its package exposes it.
+_EXTENSIONS = {
+    "scipy.linalg._flapack": SimpleNamespace(
+        setup="""
 from panelspec import _linalg
 rng = np.random.default_rng(5)
 x, y = rng.normal(size=(300, 3)), rng.normal(size=300)
-before = _linalg.lstsq_qr(x, y)
-"""
-_SAME_BITS = """
-assert all(np.array_equal(a, b) for a, b in zip(before, after))
-"""
+use = lambda: _linalg.lstsq_qr(x, y)
+""",
+        reload="""
+flapack = _linalg._scipy_extension("scipy.linalg._flapack")
+_linalg.dgeqp3, _linalg.dorgqr, _linalg.dtrtrs = (
+    flapack.dgeqp3, flapack.dorgqr, flapack.dtrtrs)
+""",
+        bound="_linalg.dgeqp3",
+        public="scipy.linalg._flapack.dgeqp3",
+    ),
+    "scipy.special._ufuncs": SimpleNamespace(
+        setup="""
+from panelspec import mcstudy
+use = lambda: [mcstudy.standard_normal(mcstudy.substream(3, 0), 1000)]
+""",
+        reload="mcstudy._ndtri.cache_clear(); mcstudy._ndtri()",
+        bound="mcstudy._ndtri()",
+        public="scipy.special.ndtri",
+    ),
+}
 
 
-def test_solver_bits_survive_a_later_scipy_import():
-    # Importing scipy.linalg loads the LAPACK extension through scipy's
-    # package __init__, after _linalg loaded it from its file.
-    run_fresh(_SOLVE + """
-assert "scipy.linalg" not in sys.modules
-import scipy.linalg
-assert scipy.linalg._flapack.__name__ == "scipy.linalg._flapack"
-after = _linalg.lstsq_qr(x, y)
-""" + _SAME_BITS)
+def _run_with(name, script):
+    """Run ``script`` after the setup of extension ``name`` and a first
+    ``before = use()``, in a fresh interpreter where warnings are errors."""
+    ext = _EXTENSIONS[name]
+    run_fresh("""
+import sys, warnings
+warnings.simplefilter("error")
+import numpy as np
+from panelspec import _linalg
+""" + ext.setup + """
+before = use()
+""" + script.format(package=name.rpartition(".")[0], **vars(ext)) + """
+assert all(np.array_equal(a, b) for a, b in zip(before, use()))
+""")
 
 
-def test_loader_falls_back_to_the_package_import():
-    run_fresh(_SOLVE + """
-assert "scipy.linalg" not in sys.modules
-flapack = _linalg._load_flapack("/nonexistent/scipy/linalg")
-assert "scipy.linalg" in sys.modules
-assert flapack.__name__ == "scipy.linalg._flapack"
-_linalg.dgeqp3 = flapack.dgeqp3
-_linalg.dorgqr = flapack.dorgqr
-_linalg.dtrtrs = flapack.dtrtrs
-after = _linalg.lstsq_qr(x, y)
-""" + _SAME_BITS)
+@pytest.mark.parametrize("name", sorted(_EXTENSIONS))
+def test_a_later_package_import_binds_the_loaded_extension(name):
+    # The package __init__ runs as usual after the bare load, and its
+    # extension is the very module object that was loaded.
+    _run_with(name, """
+assert not any(m.startswith("{package}") for m in sys.modules)
+import scipy.linalg, scipy.special, scipy.stats
+assert {public} is {bound}
+{reload}
+""")
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENSIONS))
+def test_extension_falls_back_to_the_package_import(name):
+    # With scipy not found on the path, the package import serves.
+    _run_with(name, """
+from types import SimpleNamespace
+_linalg.machinery = SimpleNamespace(
+    PathFinder=SimpleNamespace(find_spec=lambda name: None))
+{reload}
+assert "{package}" in sys.modules
+""")

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import argparse
+import ast
 import json
 import pathlib
 import pkgutil
@@ -99,10 +100,19 @@ def test_submodule_all_names_resolve(module):
     exec(f"from panelspec.{module} import *", {})
 
 
-def _scipy_modules_after(script):
-    """Run ``script`` in a fresh interpreter; return the names of the
-    ``scipy`` modules it left loaded."""
-    return set(json.loads(run_fresh(script + """
+def _scipy_modules_after(script, blocked=()):
+    """Run ``script`` in a fresh interpreter where importing any module
+    named in ``blocked`` raises; return the names of the ``scipy``
+    modules it left loaded."""
+    return set(json.loads(run_fresh(f"""
+import sys
+class Block:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name in {tuple(blocked)!r}:
+            raise ImportError(name + " is blocked")
+sys.meta_path.insert(0, Block)
+""" + script + """
 import json
 print(json.dumps([name for name, module in sys.modules.items()
                   if name.split(".")[0] == "scipy" and module is not None]))
@@ -110,41 +120,73 @@ print(json.dumps([name for name, module in sys.modules.items()
 
 
 def test_fit_and_test_import_no_scipy_package():
-    # With the scipy packages blocked, any import of them raises; only
-    # scipy's LAPACK extension, loaded from its file, may be present.
+    # With the scipy packages blocked, any import of them raises; the
+    # LAPACK extension loads under a stand-in package that is gone after.
     flags = ["--data", str(FIXTURES / "fe_oracle.csv"), "--unit", "unit",
              "--time", "time", "--y", "y", "--x", "x1,x2"]
     loaded = _scipy_modules_after(f"""
-import contextlib, io, sys
-for name in ("scipy", "scipy.linalg", "scipy.special"):
-    sys.modules[name] = None
+import contextlib, io
 import panelspec
 from panelspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main({["fit", *flags, "--method", "wfe"]!r}) == 0
     assert cli.main({["test", *flags]!r}) == 0
-""")
-    assert loaded <= {"scipy.linalg._flapack"}
+""", blocked=("scipy", "scipy.linalg", "scipy.special"))
+    assert loaded == set()
 
 
 def test_simulate_loads_ndtri_without_scipy_special():
     # The normal quantile comes from scipy.special's _ufuncs extension;
     # the package __init__ would add about 300 modules and 23 MB.
     loaded = _scipy_modules_after("""
-import contextlib, io, sys
+import contextlib, io
 from panelspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--s", "1"]) == 0
-""")
-    assert "scipy.special" not in loaded
-    assert "scipy.special._ufuncs" in loaded
+""", blocked=("scipy.linalg", "scipy.special"))
+    assert not any(name.startswith("scipy.special") for name in loaded)
 
 
 def test_cli_import_and_parser_load_no_scipy_special():
-    # ndtri loads on the first draw, never at import.
+    # ndtri loads on the first draw, never at import; the LAPACK load
+    # leaves no scipy module registered.
     loaded = _scipy_modules_after("""
-import sys
 from panelspec import cli
 cli.build_parser()
 """)
-    assert not any(name.startswith("scipy.special") for name in loaded)
+    assert loaded == set()
+
+
+def _import_system_uses(source):
+    """Lines of ``source`` that import ``importlib`` or change
+    ``sys.modules``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            hit = any(name.split(".")[0] == "importlib" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "importlib"
+        elif isinstance(node, ast.Subscript):  # sys.modules[...] = or del
+            hit = (not isinstance(node.ctx, ast.Load)
+                   and ast.unparse(node.value) == "sys.modules")
+        elif isinstance(node, ast.Attribute):  # sys.modules.pop and kin
+            hit = (ast.unparse(node.value) == "sys.modules" and node.attr
+                   in ("clear", "pop", "popitem", "setdefault", "update"))
+        else:
+            continue
+        if hit:
+            uses.append(node.lineno)
+    return uses
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in pathlib.Path(panelspec.__file__).parent.glob("*.py")
+))
+def test_only_linalg_touches_the_import_system(module):
+    # _linalg._scipy_extension is the one place that loads scipy's
+    # extensions around their packages; finding its uses shows that the
+    # check sees them.
+    path = pathlib.Path(panelspec.__file__).parent / module
+    uses = _import_system_uses(path.read_text(encoding="utf-8"))
+    assert bool(uses) == (module == "_linalg.py"), uses

@@ -208,6 +208,18 @@ def test_kernel_density_independent_of_blas_threads():
     assert len(outputs[0]) > 1000 and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("h", [1e-300, 1e-320])
+def test_kernel_density_tiny_bandwidth_overflows_quietly(n, h):
+    # z * z overflows to inf, and at 1e-320 so do z and, at n = 300, the
+    # reach of the transform; exp(-inf) = 0 is exact, so each point gets
+    # its own kernel peak, without a RuntimeWarning.
+    assert (n * n >= wle._FGT_MIN_CELLS) == (n == 300)
+    r = np.random.default_rng(26).standard_normal(n)
+    out = kernel_density_at(r, r, h)
+    assert np.all(out == 1.0 / (n * h * math.sqrt(2.0 * math.pi)))
+
+
 def test_kernel_density_errors():
     with pytest.raises(EmptySampleError):
         kernel_density_at(np.array([]), np.array([0.0]), 1.0)
@@ -341,8 +353,9 @@ def test_monotone_response_to_growing_outlier():
 
 
 def test_wle_config_validation():
-    with pytest.raises(NonpositiveBandwidthError):
-        WleConfig(kappa=0.0)
+    for kappa in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="kappa must be positive"):
+            WleConfig(kappa=kappa)
     with pytest.raises(ValueError):
         WleConfig(max_iterations=0)
     with pytest.raises(ConfigurationError):
