@@ -74,7 +74,7 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -------
     beta : ndarray, shape (k,)
     gram_inv : ndarray, shape (k, k)
-        Symmetric inverse of ``x.T @ x``.
+        Symmetric inverse of ``x.T @ x``; not finite where it overflows.
 
     Raises
     ------
@@ -108,6 +108,7 @@ def lstsq_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, _, _ = dorgqr(packed, tau, overwrite_a=1)
     inv = np.argsort(jpvt)  # column j of x is pivoted column inv[j]
     beta = (r_inv @ (q.T @ y))[inv]
-    gram_inv = (r_inv @ r_inv.T)[inv[:, np.newaxis], inv]
-    # Exact symmetry keeps downstream eigendecompositions honest.
-    return beta, 0.5 * (gram_inv + gram_inv.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _fit_result
+        gram_inv = (r_inv @ r_inv.T)[inv[:, np.newaxis], inv]
+        # Exact symmetry keeps downstream eigendecompositions honest.
+        return beta, 0.5 * (gram_inv + gram_inv.T)

@@ -3,8 +3,8 @@
 Three subcommands: ``fit`` estimates one model on a long-format CSV,
 ``test`` runs the specification tests, and ``simulate`` launches a
 Monte Carlo study. JSON on standard output is the primary interface;
-``--format csv`` emits a flat projection for spreadsheet or plotting
-pipelines. Exit codes: 0 success, 1 data, configuration or estimation
+``--format csv`` renders the same report document flat, for spreadsheet
+or plotting pipelines. Exit codes: 0 success, 1 data, configuration or estimation
 error (one line on standard error), 2 usage error. Any other exception
 is a bug and propagates with its traceback.
 """
@@ -12,8 +12,6 @@ is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from math import inf
@@ -36,6 +34,7 @@ from .mcstudy import (
     RANDOM_VERTICAL,
     ContaminationConfig,
     DgpConfig,
+    _csv_text,
     run_study,
     specification_tests,
     study_to_csv,
@@ -285,15 +284,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = fit_weighted_fixed_effects(dataset, wle_config)
     else:
         result = _METHODS[args.method](dataset)
+    doc = _fit_doc(result, args.x)
     if args.format == "json":
-        _print(_fit_json(_fit_doc(result, args.x)))
+        _print(_fit_json(doc))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["regressor", "estimate", "std_error"])
-        for name, b, s in zip(args.x, result.beta, result.std_errors()):
-            writer.writerow([name, repr(float(b)), repr(float(s))])
-        _print(buf.getvalue())
+        _print(_csv_text(["regressor", "estimate", "std_error"], zip(
+            doc["regressors"], doc["beta"], doc["std_errors"])))
     return 0
 
 
@@ -309,44 +305,36 @@ def cmd_test(args: argparse.Namespace) -> int:
     fe, re, records = specification_tests(
         dataset, _WHICH[args.which], wle_config
     )
+    doc = {
+        "tests": [
+            {
+                "kind": t.kind,
+                "statistic": t.statistic,
+                "df": t.df,
+                "p_value": t.p_value,
+                "repaired": t.repaired,
+                "q": [float(v) for v in t.q],
+            }
+            for t in records
+        ],
+        "fit_statistics": {
+            "rss_fe": fe.rss,
+            "rss_re": re.rss,
+            "r_squared_fe": fe.r_squared,
+            "r_squared_re": re.r_squared,
+        },
+        "theta": re.variance_components.theta,
+        "n_units": dataset.n_units,
+        "n_periods": dataset.n_periods,
+    }
     if args.format == "json":
-        doc = {
-            "tests": [
-                {
-                    "kind": t.kind,
-                    "statistic": t.statistic,
-                    "df": t.df,
-                    "p_value": t.p_value,
-                    "repaired": t.repaired,
-                    "q": [float(v) for v in t.q],
-                }
-                for t in records
-            ],
-            "fit_statistics": {
-                "rss_fe": fe.rss,
-                "rss_re": re.rss,
-                "r_squared_fe": fe.r_squared,
-                "r_squared_re": re.r_squared,
-            },
-            "theta": re.variance_components.theta,
-            "n_units": dataset.n_units,
-            "n_periods": dataset.n_periods,
-        }
         _print(json.dumps(doc, indent=2) + "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["test", "statistic", "df", "p_value", "repaired",
-             "rss_fe", "rss_re", "r_squared_fe", "r_squared_re"]
-        )
-        for t in records:
-            writer.writerow(
-                [t.kind, repr(t.statistic), t.df, repr(t.p_value),
-                 t.repaired, repr(fe.rss), repr(re.rss),
-                 repr(fe.r_squared), repr(re.r_squared)]
-            )
-        _print(buf.getvalue())
+        stats = doc["fit_statistics"]
+        _print(_csv_text(
+            ["test", "statistic", "df", "p_value", "repaired", *stats],
+            ([t["kind"], t["statistic"], t["df"], t["p_value"],
+              t["repaired"], *stats.values()] for t in doc["tests"])))
     return 0
 
 

@@ -178,8 +178,8 @@ def _fit_result(
 
     The RSS, TSS and R^2 are taken on the scale of ``y``; the
     covariance is ``sigma2_eps * gram_inv``, with ``sigma2_eps = rss /
-    dof`` unless given. Raises ``NonNumericValueError`` when the RSS or
-    the TSS overflows.
+    dof`` unless given. Raises ``NonNumericValueError`` when the RSS, the
+    TSS or the covariance overflows.
     """
     y, _, beta, gram_inv, resid = solve
     # Finite data can overflow in these sums where no solver sees it: pooled
@@ -187,14 +187,17 @@ def _fit_result(
     with np.errstate(over="ignore", invalid="ignore"):
         rss = float(resid @ resid)
         tss = _total_variation(y)
+        sigma2_eps = rss / dof if sigma2_eps is None else sigma2_eps
+        cov_beta = sigma2_eps * gram_inv
     if not (math.isfinite(rss) and math.isfinite(tss)):
         raise NonNumericValueError("overflow: sum of squares not finite")
-    if sigma2_eps is None:
-        sigma2_eps = rss / dof
+    if not np.isfinite(cov_beta).all():
+        raise NonNumericValueError(
+            "overflow: coefficient covariance not finite")
     return EstimateResult(
         method=method,
         beta=beta,
-        cov_beta=sigma2_eps * gram_inv,
+        cov_beta=cov_beta,
         sigma2_eps=sigma2_eps,
         sigma2_alpha=sigma2_alpha,
         residuals=resid.reshape(n_units, -1),

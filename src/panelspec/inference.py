@@ -27,6 +27,7 @@ from .exceptions import (
     DimensionMismatchError,
     MethodMismatchError,
     NegativeArgumentError,
+    NonNumericValueError,
 )
 
 __all__ = [
@@ -145,7 +146,10 @@ def _contrast(
     repaired = bool(np.any(eigvals < floor))
     clamped = np.maximum(eigvals, floor)
     z = eigvecs.T @ q
-    statistic = float(np.sum(z * z / clamped))
+    with np.errstate(over="ignore"):  # a huge contrast over a small floor
+        statistic = float(np.sum(z * z / clamped))
+    if not math.isfinite(statistic):
+        raise NonNumericValueError("overflow: test statistic not finite")
     return TestResult(
         kind=kind,
         statistic=statistic,
@@ -174,6 +178,8 @@ def hausman_test(
         not a random-effects fit.
     DimensionMismatchError
         The coefficient vectors have different lengths.
+    NonNumericValueError
+        The statistic overflows.
     """
     return _contrast(HAUSMAN, fe_result, re_result)
 
@@ -189,7 +195,7 @@ def weighted_hausman_test(
 
     Raises
     ------
-    MethodMismatchError, DimensionMismatchError
+    MethodMismatchError, DimensionMismatchError, NonNumericValueError
         As for :func:`hausman_test`.
     """
     return _contrast(WEIGHTED_HAUSMAN, wfe_result, re_result)

@@ -486,26 +486,28 @@ def study_to_json(results: Sequence[StudyResult]) -> str:
 
 
 def study_to_csv(results: Sequence[StudyResult]) -> str:
-    """The ``simulate`` CSV report: one row per study, test and level.
-
-    Studies keep their order, tests come sorted and levels in grid
-    order; numbers are written by ``repr`` so they read back exactly.
+    """The ``simulate`` CSV report: one row per study, test and level, read
+    from the study's ``runs`` entry in the JSON (a null rate is ``nan``).
+    Studies keep their order, tests come sorted and levels in grid order.
     """
+    rows = []
+    for run in map(_run_document, results):
+        design = [run["hypothesis"], run["n_units"], run["n_periods"],
+                  run["scheme"], run["n_outliers"]]
+        for kind, test in run["tests"].items():
+            for gamma, rate in zip(run["gamma_grid"], test["rejection_rates"]):
+                rows.append([kind, *design, gamma,
+                             math.nan if rate is None else rate,
+                             run["s_replications"], run["failures"]])
+    return _csv_text(["test", "hypothesis", "n_units", "n_periods", "scheme",
+                      "m", "gamma", "rejection_rate", "s", "failures"], rows)
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV text of ``header`` then ``rows``: the one writer behind every
+    ``--format csv`` report. Floats go by ``repr`` and so read back exact."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["test", "hypothesis", "n_units", "n_periods", "scheme", "m",
-         "gamma", "rejection_rate", "s", "failures"]
-    )
-    for result in results:
-        dgp, cont = result.dgp, result.contamination
-        for kind in sorted(result.rejection_rates):
-            for gamma, rate in zip(
-                result.gamma_grid, result.rejection_rates[kind]
-            ):
-                writer.writerow(
-                    [kind, dgp.hypothesis, dgp.n_units, dgp.n_periods,
-                     cont.scheme, cont.n_outliers, repr(gamma), repr(rate),
-                     result.s_replications, result.failures]
-                )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()

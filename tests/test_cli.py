@@ -20,9 +20,12 @@ from panelspec.mcstudy import (
     RANDOM_VERTICAL,
     ContaminationConfig,
     DgpConfig,
+    apply_contamination,
+    generate,
     run_study,
     study_to_csv,
     study_to_json,
+    substream,
 )
 from panelspec.wle import WleConfig
 
@@ -33,8 +36,9 @@ DATA_FLAGS = ["--unit", "unit", "--time", "time", "--y", "y", "--x", "x1,x2"]
 
 
 def run_cli(*args, text=True):
+    # -W error: a numpy warning that leaks ends the run with a traceback.
     return subprocess.run(
-        [sys.executable, "-m", "panelspec", *args],
+        [sys.executable, "-W", "error", "-m", "panelspec", *args],
         capture_output=True, text=text,
     )
 
@@ -349,6 +353,51 @@ def test_values_that_overflow_in_squares_are_data_errors(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("method", ["pooled", "fe", "wfe"])
+def test_overflowing_covariance_is_a_data_error(tmp_path, method):
+    # Regressors near 1e-160 leave the slopes finite, but their Gram
+    # inverse, near 1e320, overflows: one stderr line, not standard
+    # errors of Infinity, which is not JSON.
+    panel = make_panel(30, 4, 2, seed=1)
+    data = tmp_path / "tiny.csv"
+    write_long_csv(data, PanelDataset(panel.unit_ids, panel.time_ids,
+                                      panel.y, panel.x * 1e-160))
+    proc = run_cli("fit", "--data", str(data), *DATA_FLAGS,
+                   "--method", method)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "panelspec: error: overflow: coefficient covariance not finite\n"
+    )
+
+
+# One response near 1e150 in a 20 x 3 panel: the contrast's quadratic
+# form overflows in 4 of the first 5 replications.
+_HUGE_OUTLIER = (
+    DgpConfig(n_units=20, n_periods=3, seed=3),
+    ContaminationConfig(scheme=RANDOM_VERTICAL, n_outliers=1,
+                        low=1e150, high=2e150),
+)
+
+
+def test_simulate_counts_an_overflowing_contrast_as_failure():
+    # In-process, where the suite's filterwarnings turns a numpy
+    # RuntimeWarning into an error.
+    assert run_study(*_HUGE_OUTLIER, s=5).failures == 4
+
+
+def test_overflowing_contrast_is_a_data_error(tmp_path):
+    dgp, contamination = _HUGE_OUTLIER
+    rng = substream(dgp.seed, 0)
+    data = tmp_path / "outlier.csv"
+    write_long_csv(data, apply_contamination(generate(dgp, rng),
+                                             contamination, rng))
+    proc = run_cli("test", "--data", str(data), *DATA_FLAGS)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "panelspec: error: overflow: test statistic not finite\n"
+    )
+
+
 @pytest.mark.parametrize("flags", [
     ["--beta", "1e308,1e308"],
     ["--contamination", "random", "--m", "5", "--low", "1e308",
@@ -582,6 +631,41 @@ def test_unweighted_fit_output_is_pinned(method):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout).hexdigest()
     assert digest == PINNED_UNWEIGHTED_FIT_SHA256[method]
+
+
+# The CSV reports, pinned apart from the JSON ones: both formats render
+# one document, so a change to either writer shows here or above. The
+# last study fails every replication (N(T-1) = 2 does not exceed K = 2),
+# so its rates are nan.
+PINNED_CSV_SHA256 = {
+    ("fit", "--method", "pooled"):
+        "dadebfff33ad3adc0b040acd6f03e05f9cd77d17eec987a10480732e186ed1d2",
+    ("fit", "--method", "fe"):
+        "6d273f0316e6b7bd82411293cae60f55f223a775c8a2af3ab8783af54f66d366",
+    ("fit", "--method", "re"):
+        "333fabc1cb9fe3d2573d2b72c698b82eb1d1856ac49a3322ae5a6794c17a48c2",
+    ("fit", "--method", "wfe"):
+        "1d3cb9370582c254105f30f1e52073cd249a301c49256ddff10e6f32da05bd71",
+    ("test", "--which", "both"):
+        "aa5489453bfd80b8bc5ce8d28034be8fe1d377c22361882018ff9afdd5ddaa58",
+    ("simulate", "--paper-figure", "4", "--s", "3", "--seed", "2"):
+        "d316d8f643c797e19ebb72f8ec60c2dd2b458a60e8607cdae935e93d347d9fb7",
+    ("simulate", "--n", "3", "--t", "2", "--s", "2"):
+        "6ab69de78d4b10aef24345e1a55634549f0bbe692409b7f7a2be3bdab3c5bd6c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CSV_SHA256))
+def test_csv_output_is_pinned(command):
+    if command[0] == "simulate":
+        args = command
+    else:
+        data = FIXTURES / "contaminated_alt.csv"
+        args = (command[0], "--data", str(data), *DATA_FLAGS, *command[1:])
+    proc = run_cli(*args, "--format", "csv", text=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED_CSV_SHA256[command]
 
 
 # The same pins at the size of the benchmark's CSV workload: a 2000 x 4

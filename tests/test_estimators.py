@@ -19,6 +19,7 @@ from panelspec import (
 from panelspec import cli, estimators, mcstudy, wle
 from panelspec.exceptions import (
     InsufficientDegreesOfFreedomError,
+    NonNumericValueError,
     RankDeficientDesignError,
 )
 
@@ -209,6 +210,20 @@ def test_rescaling_equivariance(n, t, k, seed):
         expect = np.array(base.beta)
         expect[j] /= c
         assert np.allclose(res.beta, expect, rtol=1e-10), fit.__name__
+
+
+@pytest.mark.parametrize("x_scale, y_scale", [(1e-160, 1.0), (1e-150, 1e10)],
+                         ids=["gram_inverse", "covariance"])
+def test_overflowing_covariance_is_refused(x_scale, y_scale):
+    # The Gram inverse overflows (near 1e320), or it stays finite (near
+    # 1e300) and sigma2_eps times it overflows. In-process, so a numpy
+    # warning on the way fails the test.
+    ds = make_panel(30, 4, 2, seed=1)
+    tiny = PanelDataset(ds.unit_ids, ds.time_ids, ds.y * y_scale,
+                        ds.x * x_scale)
+    with pytest.raises(NonNumericValueError,
+                       match="^overflow: coefficient covariance not finite$"):
+        fit_fixed_effects(tiny)
 
 
 def test_result_invariants():

@@ -14,6 +14,7 @@ from panelspec import (
     WleConfig,
     chi_square_sf,
     fit_fixed_effects,
+    fit_pooled_ols,
     fit_random_effects,
     fit_weighted_fixed_effects,
     hausman_test,
@@ -210,6 +211,51 @@ def test_statistic_unit_reorder_invariance(n, t, k, seed):
     b = specification_tests(permuted, wle_config=tight)[2]
     for before, after in zip(a, b):
         assert after.statistic == pytest.approx(before.statistic, rel=1e-8)
+
+
+def _slopes_and_statistics(ds):
+    """Pooled, FE and RE slopes, and both statistics, of one panel."""
+    tight = WleConfig(tolerance=1e-13, max_iterations=500)
+    fe, re, tests = specification_tests(ds, wle_config=tight)
+    slopes = [fit_pooled_ols(ds).beta, fe.beta, re.beta]
+    return slopes, [t.statistic for t in tests]
+
+
+# The next two tests pin open defects, listed in the ROADMAP. Each holds
+# its invariance to rel 1e-8, as test_statistic_scaling_invariance does,
+# and fails today; once the defect is mended it passes, and strict
+# marking then fails it until the mark comes off.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="pooled OLS and RE fit no intercept")
+def test_location_invariance():
+    # Constants added to y and to each regressor move no slope and
+    # neither statistic. Pooled and RE leave out the (1 - theta)
+    # intercept column, so their slopes and both statistics move.
+    ds = make_panel(30, 4, 2, seed=1)
+    shifted = PanelDataset(ds.unit_ids, ds.time_ids, ds.y + 5.0,
+                           ds.x + np.array([3.0, -2.0]))
+    slopes, stats = _slopes_and_statistics(ds)
+    moved_slopes, moved_stats = _slopes_and_statistics(shifted)
+    for got, want in zip(moved_slopes, slopes):
+        assert got == pytest.approx(want, rel=1e-8)
+    assert moved_stats == pytest.approx(stats, rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the contrast's eigenvalue floor depends on units")
+def test_per_regressor_rescaling_invariance():
+    # x1 in units a million times smaller divides its slopes by 1e6 and
+    # moves neither statistic. The eigenvalue floor, relative to the
+    # largest eigenvalue, clamps x1's direction, so both statistics fall.
+    ds = make_panel(30, 4, 2, seed=1)
+    x = np.array(ds.x)
+    x[:, :, 0] *= 1e6
+    scaled = PanelDataset(ds.unit_ids, ds.time_ids, ds.y, x)
+    slopes, stats = _slopes_and_statistics(ds)
+    moved_slopes, moved_stats = _slopes_and_statistics(scaled)
+    for got, want in zip(moved_slopes, slopes):
+        assert got * np.array([1e6, 1.0]) == pytest.approx(want, rel=1e-8)
+    assert moved_stats == pytest.approx(stats, rel=1e-8)
 
 
 def test_p_value_matches_sf_exactly():
